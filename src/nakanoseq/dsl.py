@@ -101,7 +101,10 @@ class _Parser:
         if tok.kind != "NUMBER":
             self.error("expected a number", tok)
         self.advance()
-        return float(tok.text)
+        value = float(tok.text)
+        if not math.isfinite(value):
+            self.error(f"numeric literal {tok.text} is out of range", tok)
+        return value
 
     def _is_ident(self, tok: _Token, name: str) -> bool:
         return tok.kind == "IDENT" and tok.text == name

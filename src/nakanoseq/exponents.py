@@ -36,8 +36,9 @@ INF = math.inf
 _BLOCK_CUMS: list[int] = [1]  # _BLOCK_CUMS[j-1] = sum_{i<=j} i^i
 
 
-def _block_cums_until(n: int) -> list[int]:
-    while _BLOCK_CUMS[-1] < n:
+def _block_cums(until: int = 0, blocks: int = 0) -> list[int]:
+    """The cache, grown to cover index ``until`` and to hold ``blocks`` sums."""
+    while _BLOCK_CUMS[-1] < until or len(_BLOCK_CUMS) < blocks:
         j = len(_BLOCK_CUMS) + 1
         _BLOCK_CUMS.append(_BLOCK_CUMS[-1] + j**j)
     return _BLOCK_CUMS
@@ -47,7 +48,7 @@ def block_value(n: int) -> int:
     """a_n = min{k : n <= sum_{j<=k} j^j}.  Exact for arbitrarily large n."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    cums = _block_cums_until(n)
+    cums = _block_cums(until=n)
     return bisect.bisect_left(cums, n) + 1
 
 
@@ -57,11 +58,7 @@ def block_start(k: int) -> int:
         raise ValueError("block number must be >= 1")
     if k == 1:
         return 1
-    _block_cums_until(0)
-    while len(_BLOCK_CUMS) < k - 1:
-        j = len(_BLOCK_CUMS) + 1
-        _BLOCK_CUMS.append(_BLOCK_CUMS[-1] + j**j)
-    return _BLOCK_CUMS[k - 2] + 1
+    return _block_cums(blocks=k - 1)[k - 2] + 1
 
 
 def block_end(k: int) -> int:
@@ -191,8 +188,10 @@ class BlockRepeat(ExponentSequence):
 
     def _eval_array(self, ns):
         top = int(ns.max()) if ns.size else 1
-        cums = _block_cums_until(top)
-        arr = np.array(cums, dtype=np.float64)
+        cums = _block_cums(until=top)
+        # only the sums up to the first one >= top matter; later ones can
+        # exceed the float64 range once the cache has grown far
+        arr = np.array(cums[: bisect.bisect_left(cums, top) + 1], dtype=np.float64)
         return np.searchsorted(arr, ns, side="left").astype(np.float64) + 1.0
 
     def to_json(self):
@@ -395,9 +394,6 @@ class NakanoExponent(ExponentSequence):
 
     def to_json(self):
         return {"kind": "nakano_exponent", "p": self.p.to_json(), "q": self.q.to_json()}
-
-
-_KINDS = {}
 
 
 def from_json(obj: dict) -> ExponentSequence:

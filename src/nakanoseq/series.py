@@ -138,7 +138,8 @@ class NumericProbe:
 
     def __str__(self):
         sums = ", ".join(f"α={a:g}: {s:.6g}" for a, s in self.partial_sums)
-        return self.statement or f"partial sums to {self.horizon}: {sums}"
+        text = f"partial sums to {self.horizon}: {sums}"
+        return f"{self.statement}; {text}" if self.statement else text
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,7 @@ def exists_alpha(exponent: E.ExponentSequence) -> Verdict:
             alpha_used = alpha
 
     def probe():
-        sums = tuple((a, partial_sum(a, exponent, PROBE_HORIZON)) for a in PROBE_ALPHAS)
+        sums = tuple(zip(PROBE_ALPHAS, _direct_partial_sums(PROBE_ALPHAS, exponent, PROBE_HORIZON)))
         return NumericProbe(PROBE_HORIZON, sums, "undecided regime; probes at several α attached")
 
     verdict = _combine(parts, probe)
@@ -414,16 +415,22 @@ _DIRECT_CAP = 50_000_000
 _CHUNK = 500_000
 
 
-def _direct_partial_sum(alpha: float, exponent: E.ExponentSequence, horizon: int) -> float:
-    total = 0.0
+def _direct_partial_sums(alphas, exponent: E.ExponentSequence, horizon: int) -> list[float]:
+    """Term-by-term Σ_{n <= horizon, e(n) < ∞} α^{e(n)} for each α in alphas.
+
+    Each chunk of exponent values is evaluated once and raised to every α;
+    each total is accumulated chunk by chunk, as a single-α sum would be.
+    """
+    totals = [0.0] * len(alphas)
     n = 1
     while n <= horizon:
         stop = min(horizon + 1, n + _CHUNK)
         vals = exponent.eval_range(n, stop)
-        finite = np.isfinite(vals)
-        total += float(np.sum(alpha ** vals[finite]))
+        vals = vals[np.isfinite(vals)]
+        for i, alpha in enumerate(alphas):
+            totals[i] += float(np.sum(alpha**vals))
         n = stop
-    return total
+    return totals
 
 
 def _block_branches(exponent: E.ExponentSequence):
@@ -448,18 +455,18 @@ def partial_sum(alpha: float, exponent: E.ExponentSequence, horizon: int) -> flo
     if not (0 < alpha < 1):
         raise SemanticError("partial sums are defined here for α in (0,1)")
     if horizon <= 2_000_000:
-        return _direct_partial_sum(alpha, exponent, horizon)
+        return _direct_partial_sums((alpha,), exponent, horizon)[0]
     blocks = _block_branches(exponent)
     if blocks is None:
         if horizon > _DIRECT_CAP:
             raise SemanticError(f"horizon {horizon} too large for term-by-term summation on this exponent")
-        return _direct_partial_sum(alpha, exponent, horizon)
+        return _direct_partial_sums((alpha,), exponent, horizon)[0]
 
     lead_in = max(max(b.onset, cf.onset) for b, cf in blocks)
     lead_in = min(lead_in, horizon)
     if lead_in > 2_000_000:
         raise SemanticError("closed-form onset too large for exact aggregation")
-    total = _direct_partial_sum(alpha, exponent, lead_in)
+    total = _direct_partial_sums((alpha,), exponent, lead_in)[0]
 
     k = E.block_value(lead_in + 1) if lead_in < horizon else None
     while k is not None:

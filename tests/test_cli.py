@@ -89,6 +89,15 @@ def test_compare_unknown_rendered(capsys):
     assert "inclusion not established" in out
 
 
+def test_compare_unknown_shows_probe_sums(capsys):
+    code, out, _ = run(capsys, "compare", "blocks", "blocks + recip(3 + 1/n^2)")
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("spaces_equal:"))
+    assert line.startswith("spaces_equal: Unknown — ")
+    assert line.count(" — ") == 1
+    assert "partial sums to 1000000: α=0.5: " in line
+
+
 def test_witness_equality(capsys):
     code, out, _ = run(capsys, "witness", "2", "2 + recip(blocks)", "--count", "3")
     assert code == 0
@@ -121,6 +130,13 @@ def test_exit_2_on_dsl_parse_error(capsys):
     code, _, err = run(capsys, "norm", "2(((", "[[1,1]]")
     assert code == 2
     assert "column" in err
+
+
+def test_exit_2_on_overflowing_literal(capsys):
+    code, out, err = run(capsys, "space", "1e400")
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err
 
 
 def test_exit_2_on_bad_vector(capsys):

@@ -21,6 +21,7 @@ from nakanoseq import (
     compactness_suite,
     full_report,
     inclusion_holds,
+    parse_expression,
     space_profile,
     spaces_equal,
     strictly_singular,
@@ -240,3 +241,13 @@ def test_full_report_invariants_on_random_pairs():
                 assert v.citation in CITATION_ANCHORS, (str(p), str(q), v)
         if r.weakly_compact.answer is Answer.YES:
             assert space_profile(q, witness_count=0).reflexive.answer is Answer.YES
+
+
+def test_full_report_after_block_cache_growth():
+    # the first pair grows the block cache past the float64 range; the
+    # second, a probe over a_n, must still evaluate blocks afterwards
+    p, q = parse_expression("10 + recip(blocks)"), parse_expression("10 + recip(blocks) + recip(3)")
+    first = full_report(p, q, witness_count=0)
+    assert first.inclusion_holds.answer is Answer.YES
+    second = full_report(parse_expression("n"), parse_expression("blocks"), witness_count=0)
+    assert second.inclusion_holds.answer is Answer.UNKNOWN

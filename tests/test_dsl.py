@@ -85,6 +85,18 @@ def test_semantic_errors_for_small_values():
         parse_expression("prefix(1=0.2; 2)")
 
 
+def test_overflowing_literals_rejected():
+    with pytest.raises(ParseError) as exc:
+        parse_expression("1e400")
+    assert "column 1" in str(exc.value)
+    with pytest.raises(ParseError):
+        parse_expression("2 + 1e999/n")
+    with pytest.raises(ParseError):
+        parse_expression("prefix(1e400=2; 2)")
+    assert parse_expression("inf") == Const(INF)
+    assert parse_expression("1e300") == Const(1e300)
+
+
 def test_print_examples():
     assert print_expression(RationalDrift(1.0, 1.0, 1.0)) == "1 + 1/n"
     assert print_expression(Linear(1.0, 0.0)) == "n"

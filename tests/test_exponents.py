@@ -71,6 +71,15 @@ def test_block_repeat_eval_range_vectorized():
     assert all(b.eval(n) == vals[n - 1] for n in range(1, 4001, 37))
 
 
+def test_block_repeat_eval_range_after_cache_passes_float_range():
+    # block sums past block ~143 exceed the float64 range; the cache keeps them
+    block_start(300)
+    b = BlockRepeat()
+    vals = b.eval_range(1, 10**6)
+    assert all(vals[n - 1] == block_value(n) for n in range(1, 10**6, 9973))
+    assert vals[-1] == block_value(10**6 - 1)
+
+
 # -- extended-value conventions [TRIVIAL] -------------------------------------
 
 

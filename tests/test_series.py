@@ -34,6 +34,7 @@ from nakanoseq import (
     one_in_lrn,
     partial_sum,
 )
+from nakanoseq.series import PROBE_ALPHAS, PROBE_HORIZON
 
 from _generators import gen_exponent
 
@@ -128,6 +129,16 @@ def test_exists_alpha_mixed_unknown_with_probe():
     assert v.answer is Answer.UNKNOWN
     assert isinstance(v.certificate, NumericProbe)
     assert len(v.certificate.partial_sums) == 3
+
+
+def test_exists_alpha_probe_matches_partial_sum_bit_for_bit():
+    # blocks vs blocks + recip(3 + 1/n^2): a mixed pair that ends in a probe
+    q = Sum(BlockRepeat(), Recip(RationalDrift(3.0, 1.0, 2.0)))
+    e = NakanoExponent(BlockRepeat(), q)
+    v = exists_alpha(e)
+    assert v.answer is Answer.UNKNOWN
+    # exact equality: the one-pass probe must sum in the same order as partial_sum
+    assert v.certificate.partial_sums == tuple((a, partial_sum(a, e, PROBE_HORIZON)) for a in PROBE_ALPHAS)
 
 
 def test_exists_alpha_symmetry_of_nakano():
