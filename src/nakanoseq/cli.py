@@ -4,7 +4,8 @@ Commands: norm, space, compare, witness, probe.  Exit codes:
 
 * 0 — completed report (Unknown verdicts do not change the code)
 * 2 — DSL/vector parse error or invalid arguments
-* 3 — numeric failure (norm bisection hit the iteration cap)
+* 3 — numeric failure (the norm solver hit the iteration cap, or the norm
+  exceeds the float64 range)
 * 4 — internal inconsistency (a bug, never user error)
 * 5 — precondition of the requested operation not met
 * 6 — witness scan horizon exhausted
@@ -87,7 +88,7 @@ def _cmd_norm(args) -> int:
         print(f"residual   {result.residual:.3g}")
         print(f"iterations {result.iterations}")
     if not result.converged:
-        print("norm bisection hit the iteration cap before reaching the tolerance", file=sys.stderr)
+        print("norm solver hit the iteration cap before reaching the tolerance", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

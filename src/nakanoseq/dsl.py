@@ -5,7 +5,7 @@ Grammar (whitespace insignificant)::
     expr    := atom { "+" atom }
     atom    := drift | linear | const | "blocks" | "inf"
              | "merge(" ("even"|"odd") ":" expr "," expr ")"
-             | "prefix(" index "=" number { "," index "=" number } ";" expr ")"
+             | "prefix(" index "=" const { "," index "=" const } ";" expr ")"
              | ("absdiff" | "rn" | "nakexp") "(" expr "," expr ")"
              | "recip(" expr ")"
     drift   := number ("+"|"-") number "/n" ["^" number]
@@ -106,6 +106,12 @@ class _Parser:
             self.error(f"numeric literal {tok.text} is out of range", tok)
         return value
 
+    def const(self) -> float:
+        if self._is_ident(self.peek(), "inf"):
+            self.advance()
+            return INF
+        return self.number()
+
     def _is_ident(self, tok: _Token, name: str) -> bool:
         return tok.kind == "IDENT" and tok.text == name
 
@@ -169,13 +175,10 @@ class _Parser:
         if node is not None:
             return node
         tok = self.peek()
-        if tok.kind == "NUMBER":
-            return E.Const(self.number())
+        if tok.kind == "NUMBER" or self._is_ident(tok, "inf"):
+            return E.Const(self.const())
         if tok.kind == "IDENT":
             name = tok.text
-            if name == "inf":
-                self.advance()
-                return E.Const(INF)
             if name == "blocks":
                 self.advance()
                 return E.BlockRepeat()
@@ -206,7 +209,7 @@ class _Parser:
                     if idx != int(idx):
                         self.error("override index must be an integer", idx_tok)
                     self.expect_sym("=")
-                    overrides.append((int(idx), self.number()))
+                    overrides.append((int(idx), self.const()))
                     if not self.accept_sym(","):
                         break
                 self.expect_sym(";")

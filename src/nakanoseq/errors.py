@@ -38,7 +38,8 @@ class HorizonExhausted(NakanoError):
 
 
 class NormComputationError(NakanoError):
-    """The norm solver hit its iteration cap before reaching the tolerance."""
+    """The norm solver hit its iteration cap before reaching the tolerance, or
+    the norm exceeds the float64 range."""
 
 
 class InternalInconsistency(NakanoError):

@@ -116,7 +116,7 @@ class Const(ExponentSequence):
         return self.value
 
     def _eval_array(self, ns):
-        return np.full(ns.shape, self.value)
+        return np.full(ns.shape, self.value, dtype=np.float64)
 
     def to_json(self):
         return {"kind": "const", "value": _num(self.value)}

@@ -193,6 +193,6 @@ def ratio_decay_profile(
         rp = luxemburg_norm(p, x, rel_tol)
         rq = luxemburg_norm(q, x, rel_tol)
         if not (rp.converged and rq.converged):
-            raise NormComputationError(f"norm bisection hit the iteration cap at length {n}")
+            raise NormComputationError(f"norm solver hit the iteration cap at length {n}")
         rows.append((n, rp.value, rq.value, rq.value / rp.value))
     return RatioProfile(index_set, tuple(rows))

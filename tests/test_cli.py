@@ -50,6 +50,19 @@ def test_norm_vector_file(capsys, tmp_path):
     assert "5.000000000000" in out
 
 
+def test_norm_prefix_inf_override(capsys):
+    # the sup-norm floor |x_1| = 5 binds over the finite part's radius 2
+    code, out, _ = run(capsys, "norm", "prefix(1=inf; 2)", "[[1,5],[2,2]]")
+    assert code == 0
+    assert "value      5.000000000000" in out
+
+
+def test_norm_near_float_range(capsys):
+    code, out, _ = run(capsys, "norm", "2", "[[1,1e308],[2,1e308]]", "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(2**0.5 * 1e308, rel=1e-12)
+
+
 def test_space_command(capsys):
     code, out, _ = run(capsys, "space", "blocks")
     assert code == 0
@@ -153,6 +166,19 @@ def test_exit_3_on_iteration_cap(capsys):
     code, _, err = run(capsys, "norm", "2", "[[1,1],[2,1]]", "--tol", "1e-300")
     assert code == 3
     assert "iteration cap" in err
+
+
+def test_exit_3_on_norm_beyond_float_range(capsys):
+    code, out, err = run(capsys, "norm", "1", "[[1,1e308],[2,1e308]]")
+    assert code == 3
+    assert out == ""
+    assert "float64 range" in err
+
+
+def test_exit_2_on_exponent_below_one(capsys):
+    code, _, err = run(capsys, "norm", "recip(2)", "[[1,1],[2,1]]")
+    assert code == 2
+    assert "exponents >= 1" in err
 
 
 def test_exit_4_on_internal_inconsistency(capsys, monkeypatch):

@@ -97,6 +97,14 @@ def test_overflowing_literals_rejected():
     assert parse_expression("1e300") == Const(1e300)
 
 
+def test_prefix_inf_override_round_trip():
+    ast = Prefix(((1, INF), (3, 1.0)), Const(2.0))
+    assert print_expression(ast) == "prefix(1=inf, 3=1; 2)"
+    assert parse_expression(print_expression(ast)) == ast
+    with pytest.raises(ParseError):
+        parse_expression("prefix(inf=2; 2)")  # an index is still a number
+
+
 def test_print_examples():
     assert print_expression(RationalDrift(1.0, 1.0, 1.0)) == "1 + 1/n"
     assert print_expression(Linear(1.0, 0.0)) == "n"

@@ -80,6 +80,13 @@ def test_block_repeat_eval_range_after_cache_passes_float_range():
     assert vals[-1] == block_value(10**6 - 1)
 
 
+def test_prefix_inf_override_on_integer_const_tail():
+    # an integer Const tail used to make an int64 array that cannot hold inf
+    assert Const(2)._eval_array(np.arange(1.0, 4.0)).dtype == np.float64
+    assert Prefix(((1, INF),), Const(2)).eval_range(1, 4).tolist() == [INF, 2.0, 2.0]
+    assert Const(2).to_json() == {"kind": "const", "value": 2}
+
+
 # -- extended-value conventions [TRIVIAL] -------------------------------------
 
 

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nakanoseq import (
+    BlockRepeat,
     Const,
     Merge,
     Evens,
+    NormComputationError,
     Prefix,
+    Recip,
     SemanticError,
     SparseVector,
     basis_vector,
     in_unit_ball,
     luxemburg_norm,
     modular,
+    parse_expression,
 )
 
 INF = math.inf
@@ -139,6 +143,96 @@ def test_norm_unit_ball_consistency():
     r = luxemburg_norm(p, x)
     assert in_unit_ball(p, x.scale(1.0 / r.value))
     assert modular(p, x.scale(1.0 / (r.value * 0.99))) > 1.0
+
+
+def test_norm_near_float_range():
+    # scaling keeps the bracket finite; the norm itself fits in float64
+    x = SparseVector.from_pairs([(1, 1e308), (2, 1e308)])
+    r = luxemburg_norm(Const(2), x)
+    assert r.converged and r.value == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-12)
+    with pytest.raises(NormComputationError, match="float64 range"):
+        luxemburg_norm(Const(1), x)  # 2e308 is not a float
+    tiny = luxemburg_norm(Const(1), SparseVector.from_pairs([(1, 1e-320), (2, 1e-320)]))
+    assert tiny.converged and tiny.value == 2 * 1e-320
+
+
+def test_norm_rejects_exponents_below_one():
+    # the bracket [max|x_i|, Σ|x_i|] needs p_i >= 1 (recip(2) has root 4 > 2)
+    x = SparseVector.from_pairs([(1, 1.0), (2, 1.0)])
+    with pytest.raises(SemanticError, match="index 1"):
+        luxemburg_norm(Recip(Const(2)), x)
+
+
+# -- Luxemburg norm: the Newton solver ------------------------------------------
+
+
+def reference_modular(p, x, r):
+    """ρ(x/r) by scalar p.eval and math.fsum, independent of the solver."""
+    terms = []
+    for i, v in x.entries:
+        e = p.eval(i)
+        if e == INF:
+            if abs(v) > r:
+                return INF
+        else:
+            terms.append((abs(v) / r) ** e)
+    return math.fsum(terms)
+
+
+SOLVER_EXPONENTS = ["1", "2", "1 + 1/n", "blocks", "n", "prefix(2=inf, 5=1; merge(odd: inf, 2))", "merge(even: inf, 1.5)"]
+
+
+def test_norm_bracket_certified_independently():
+    rng = random.Random(31337)
+    for text in SOLVER_EXPONENTS:
+        p = parse_expression(text)
+        for _ in range(8):
+            n = rng.choice([1, 2, 7, 60, 700, 5000])
+            support = rng.sample(range(1, 4 * n + 10), n)
+            scale = 10.0 ** rng.uniform(-6, 6)
+            x = SparseVector.from_pairs((i, scale * rng.uniform(-1, 1)) for i in support)
+            r = luxemburg_norm(p, x)
+            assert r.converged and r.iterations <= 20, (text, r)
+            lo, hi = r.bracket
+            assert hi == r.value
+            assert reference_modular(p, x, r.value) <= 1 + 1e-12, (text, r)
+            if lo < hi:
+                assert reference_modular(p, x, lo) > 1 - 1e-12, (text, r)
+            else:  # exact: no radius below the largest entry is admissible
+                assert r.value == max(abs(v) for _, v in x.entries)
+
+
+def test_norm_const_one_root_on_the_sum():
+    # φ(r) = Σ|x_i|/r: the root is the (rounded) upper end of the bracket
+    for a, b in [(1.0, 1.0), (3.0, -4.0), (1e-3, 7.5), (2.0, 1e-9)]:
+        r = luxemburg_norm(Const(1), SparseVector.from_pairs([(1, a), (2, b)]))
+        assert r.converged and r.iterations <= 20
+        assert r.value == pytest.approx(abs(a) + abs(b), rel=1e-15)
+
+
+def test_norm_flat_vector_of_1e5_entries():
+    n = 10**5
+    r = luxemburg_norm(Const(2), SparseVector.from_pairs((i, 1.0) for i in range(1, n + 1)))
+    assert r.converged
+    assert abs(r.value - math.sqrt(n)) <= 1e-12
+
+
+def test_norm_support_beyond_float_exact_indices():
+    # indices from 2**53 on are evaluated by scalar eval, not eval_range
+    big = [3, 2**53 + 1, 2**60, 10**400]
+    values = [2.0, -1.5, 0.5, 3.0]
+    p = BlockRepeat()
+    exps = [p.eval(i) for i in big]
+    assert exps == [2.0, 14.0, 16.0, 178.0]
+    # the same exponents at small indices, spelled out as overrides
+    q = Prefix(tuple((k + 1, e) for k, e in enumerate(exps)), Const(1))
+    x = SparseVector.from_pairs(zip(big, values))
+    y = SparseVector.from_pairs(zip(range(1, 5), values))
+    assert luxemburg_norm(p, x) == luxemburg_norm(q, y)
+    assert modular(p, x) == modular(q, y)
+    r = luxemburg_norm(p, x)
+    assert reference_modular(p, x, r.bracket[0]) > 1 - 1e-12
+    assert reference_modular(p, x, r.value) <= 1 + 1e-12
 
 
 # -- Luxemburg norm: hypothesis properties --------------------------------------
