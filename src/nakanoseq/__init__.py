@@ -13,13 +13,9 @@ from .errors import (
 )
 from .exponents import (
     AbsDiff,
-    AsymptoticProfile,
     BlockRepeat,
-    Bounds,
     Const,
     ExponentSequence,
-    GapKind,
-    GapResult,
     Linear,
     Merge,
     NakanoExponent,
@@ -31,6 +27,12 @@ from .exponents import (
     block_end,
     block_start,
     block_value,
+)
+from ._asymptotics import (
+    AsymptoticProfile,
+    Bounds,
+    GapKind,
+    GapResult,
     liminf_abs_gap,
     profile,
     signed_liminf_gap,

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from . import exponents as E
 from .indexsets import Periodic
 from .verdicts import Answer
 
@@ -251,9 +252,7 @@ def _onset_n(x_onset: int, var: Optional[str]) -> int:
         return x_onset
     if x_onset > 300:  # block start would be astronomically large
         return ONSET_CAP
-    from .exponents import block_start
-
-    return block_start(max(1, int(x_onset)))
+    return E.block_start(max(1, int(x_onset)))
 
 
 def _cf_inf(onset: int = 1) -> ClosedForm:
@@ -277,8 +276,6 @@ def _join_var(a: Optional[str], b: Optional[str]) -> tuple[bool, Optional[str]]:
 def closed_form(core) -> Optional[ClosedForm]:
     """Closed form of a Merge/Prefix-free descriptor, or None when the
     branch mixes n and a_n."""
-    from . import exponents as E
-
     if isinstance(core, E.Const):
         if core.value == INF:
             return _cf_inf()
@@ -332,6 +329,8 @@ def closed_form(core) -> Optional[ClosedForm]:
         a, b = closed_form(core.p), closed_form(core.q)
         if a is None or b is None:
             return None
+        if not a.is_inf and a.form.is_zero:  # 1/q - 1/0 < 0, so r_n = ∞ as in eval
+            return _cf_inf(max(a.onset, b.onset))
         inv_p = RForm.const(0.0) if a.is_inf else a.form.recip()
         inv_q = RForm.const(0.0) if b.is_inf else b.form.recip()
         ok, var = _join_var(None if a.is_inf else a.var, None if b.is_inf else b.var)
@@ -391,9 +390,26 @@ def _strip(per: Periodic) -> tuple[Periodic, int]:
     return Periodic(per.modulus, per.residues), onset
 
 
+_COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
+
+
+def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple, int]]:
+    """Joint refinement of the operands' branches: (pset, cores, onset) for
+    each infinite intersection, with one core per operand in order."""
+    joint = [(b.pset, (b.core,), b.onset) for b in operands[0]]
+    for branches in operands[1:]:
+        refined = []
+        for pset, cores, onset in joint:
+            for b in branches:
+                ps, o = _strip(pset.intersect(b.pset))
+                if ps.is_infinite():
+                    refined.append((ps, cores + (b.core,), max(o, onset, b.onset)))
+        joint = refined
+    return joint
+
+
 def normalize(seq) -> list[Branch]:
     """Infinite Merge-free branches covering all but finitely many indices."""
-    from . import exponents as E
 
     def rec(s) -> list[Branch]:
         if isinstance(s, E.Prefix):
@@ -402,33 +418,15 @@ def normalize(seq) -> list[Branch]:
         if isinstance(s, E.Merge):
             per, p_onset = _strip(s.index_set.periodic())
             out = []
-            for b in rec(s.on_set):
-                ps, o = _strip(per.intersect(b.pset))
-                if ps.is_infinite():
-                    out.append(Branch(ps, b.core, max(o, p_onset, b.onset)))
-            for b in rec(s.off_set):
-                ps, o = _strip(per.complement().intersect(b.pset))
-                if ps.is_infinite():
-                    out.append(Branch(ps, b.core, max(o, p_onset, b.onset)))
-            return out
-        if isinstance(s, (E.AbsDiff, E.Sum)):
-            out = []
-            for b1 in rec(s.left):
-                for b2 in rec(s.right):
-                    ps, o = _strip(b1.pset.intersect(b2.pset))
+            for part, sub in ((per, s.on_set), (per.complement(), s.off_set)):
+                for b in rec(sub):
+                    ps, o = _strip(part.intersect(b.pset))
                     if ps.is_infinite():
-                        out.append(Branch(ps, type(s)(b1.core, b2.core), max(o, b1.onset, b2.onset)))
+                        out.append(Branch(ps, b.core, max(o, p_onset, b.onset)))
             return out
-        if isinstance(s, (E.RnOf, E.NakanoExponent)):
-            out = []
-            for b1 in rec(s.p):
-                for b2 in rec(s.q):
-                    ps, o = _strip(b1.pset.intersect(b2.pset))
-                    if ps.is_infinite():
-                        out.append(Branch(ps, type(s)(b1.core, b2.core), max(o, b1.onset, b2.onset)))
-            return out
-        if isinstance(s, E.Recip):
-            return [Branch(b.pset, E.Recip(b.core), b.onset) for b in rec(s.inner)]
+        if isinstance(s, _COMBINATORS):
+            joint = _refine([rec(getattr(s, f.name)) for f in fields(s)])
+            return [Branch(ps, type(s)(*cores), onset) for ps, cores, onset in joint]
         return [Branch(_ALL, s, 1)]
 
     return [b for b in rec(seq) if b.pset.is_infinite()]
@@ -436,13 +434,7 @@ def normalize(seq) -> list[Branch]:
 
 def pair_branches(p, q) -> list[tuple[Periodic, object, object, int]]:
     """Common refinement of the branch decompositions of two descriptors."""
-    out = []
-    for b1 in normalize(p):
-        for b2 in normalize(q):
-            ps, o = _strip(b1.pset.intersect(b2.pset))
-            if ps.is_infinite():
-                out.append((ps, b1.core, b2.core, max(o, b1.onset, b2.onset)))
-    return out
+    return [(ps, pc, qc, onset) for ps, (pc, qc), onset in _refine([normalize(p), normalize(q)])]
 
 
 # --------------------------------------------------------------------------
@@ -470,9 +462,7 @@ class Bounds:
         return Bounds(v, v)
 
     def to_json(self):
-        from .exponents import _num
-
-        return [_num(self.lo), _num(self.hi)]
+        return [E._num(self.lo), E._num(self.hi)]
 
 
 @dataclass(frozen=True)
@@ -495,34 +485,36 @@ class AsymptoticProfile:
         }
 
 
+def _recip_bounds(a: Bounds) -> Bounds:
+    """Enclosure of 1/x for x in ``a``, with 1/∞ = 0 and 1/0 = ∞."""
+    lo = 0.0 if a.hi == INF else 1.0 / a.hi
+    hi = INF if a.lo == 0.0 else (1.0 / a.lo if a.lo != INF else 0.0)
+    return Bounds(min(lo, hi), max(lo, hi))
+
+
+def _abs_diff_bounds(a: Bounds, b: Bounds) -> Bounds:
+    """Enclosure of |x - y| for x in ``a``, y in ``b``, with ∞ - ∞ = 0."""
+    if a.hi == INF and b.hi == INF:
+        return Bounds(0.0, INF)
+    hi = max(a.hi - b.lo, b.hi - a.lo, 0.0)
+    lo = max(0.0, b.lo - a.hi, a.lo - b.hi)
+    return Bounds(min(lo, hi), hi)
+
+
 def _interval_range(core) -> Bounds:
     """Enclosure of all accumulation values of a Merge-free branch."""
-    from . import exponents as E
-
     cf = closed_form(core)
     if cf is not None:
         return Bounds.exactly(cf.limit())
     if isinstance(core, E.AbsDiff):
-        a, b = _interval_range(core.left), _interval_range(core.right)
-        if a.hi == INF and b.hi == INF:
-            hi = INF
-            lo = 0.0
-        else:
-            hi = max(a.hi - b.lo, b.hi - a.lo, 0.0)
-            lo = max(0.0, b.lo - a.hi, a.lo - b.hi)
-        return Bounds(min(lo, hi), hi)
+        return _abs_diff_bounds(_interval_range(core.left), _interval_range(core.right))
     if isinstance(core, E.Sum):
         a, b = _interval_range(core.left), _interval_range(core.right)
         return Bounds(a.lo + b.lo, a.hi + b.hi)
     if isinstance(core, E.Recip):
-        a = _interval_range(core.inner)
-        lo = 0.0 if a.hi == INF else 1.0 / a.hi
-        hi = INF if a.lo == 0.0 else (1.0 / a.lo if a.lo != INF else 0.0)
-        return Bounds(min(lo, hi), max(lo, hi))
+        return _recip_bounds(_interval_range(core.inner))
     if isinstance(core, E.RnOf):
-        a, b = _interval_range(core.p), _interval_range(core.q)
-        inv_p = Bounds(0.0 if a.hi == INF else 1.0 / a.hi, 0.0 if a.lo == INF else (INF if a.lo == 0 else 1.0 / a.lo))
-        inv_q = Bounds(0.0 if b.hi == INF else 1.0 / b.hi, 0.0 if b.lo == INF else (INF if b.lo == 0 else 1.0 / b.lo))
+        inv_p, inv_q = _recip_bounds(_interval_range(core.p)), _recip_bounds(_interval_range(core.q))
         d_hi = inv_q.hi - inv_p.lo
         d_lo = inv_q.lo - inv_p.hi
         if d_hi <= 0:
@@ -532,11 +524,9 @@ def _interval_range(core) -> Bounds:
         return Bounds(min(lo, hi), max(lo, hi))
     if isinstance(core, E.NakanoExponent):
         a, b = _interval_range(core.p), _interval_range(core.q)
-        pq_lo, pq_hi = a.lo * b.lo, a.hi * b.hi
-        d_hi = max(a.hi - b.lo, b.hi - a.lo, 0.0) if not (a.hi == INF and b.hi == INF) else INF
-        d_lo = max(0.0, b.lo - a.hi, a.lo - b.hi)
-        lo = 0.0 if d_hi == INF or d_hi == 0.0 else pq_lo / d_hi
-        hi = INF if d_lo == 0.0 else pq_hi / d_lo
+        d = _abs_diff_bounds(a, b)
+        lo = 0.0 if d.hi == INF or d.hi == 0.0 else a.lo * b.lo / d.hi
+        hi = INF if d.lo == 0.0 else a.hi * b.hi / d.lo
         return Bounds(min(lo, hi), max(lo, hi))
     return Bounds(0.0, INF)
 
@@ -628,35 +618,34 @@ def _refine_onset(seq, onset: int, predicate, window: int = 100_000) -> int:
     return start  # window exhausted; keep the certified bound reached
 
 
+def _margin(form: RForm, limit: float) -> tuple[float, int]:
+    """(ε, onset) with form(x) >= ε > 0 for x >= onset, given a positive
+    limit: ε = 1/2 for an infinite limit, the limit itself for a constant
+    form, half the limit otherwise.  The onset is in the form's variable."""
+    eps = 0.5 if limit == INF else (limit if form.is_const(limit) else limit / 2.0)
+    _, onset = form.sub_scalar(eps).sign_onset()
+    return eps, onset
+
+
 def _gap_of_cf(cf: ClosedForm, branch_onset: int) -> GapResult:
     if cf.is_inf:
         return GapResult(GapKind.POSITIVE, 1.0, max(branch_onset, cf.onset), "gap is infinite")
     limit = cf.limit()
     if limit == 0.0:
         return GapResult(GapKind.ZERO, onset=max(branch_onset, cf.onset), note="|p_n - q_n| -> 0")
-    if limit == INF:
-        eps = 0.5
-        sign, s_onset = cf.form.sub_scalar(eps).sign_onset()
-        return GapResult(
-            GapKind.POSITIVE, eps, max(branch_onset, cf.onset, _onset_n(s_onset, cf.var)), "gap diverges"
-        )
-    if cf.form.is_const(limit):
-        return GapResult(GapKind.POSITIVE, limit, max(branch_onset, cf.onset), "gap is constant")
-    eps = limit / 2.0
-    sign, s_onset = cf.form.sub_scalar(eps).sign_onset()
-    return GapResult(
-        GapKind.POSITIVE, eps, max(branch_onset, cf.onset, _onset_n(s_onset, cf.var)), f"gap -> {limit:g}"
-    )
+    eps, s_onset = _margin(cf.form, limit)
+    if eps == limit:  # a constant gap holds wherever the branch's closed form does
+        return GapResult(GapKind.POSITIVE, eps, max(branch_onset, cf.onset), "gap is constant")
+    note = "gap diverges" if limit == INF else f"gap -> {limit:g}"
+    return GapResult(GapKind.POSITIVE, eps, max(branch_onset, cf.onset, _onset_n(s_onset, cf.var)), note)
 
 
 def liminf_abs_gap(p, q) -> GapResult:
     """Three-valued comparison of liminf |p_n - q_n| against 0."""
-    from .exponents import AbsDiff
-
-    diff = AbsDiff(p, q)
+    diff = E.AbsDiff(p, q)
     results = []
     for per, pc, qc, onset in pair_branches(p, q):
-        cf = closed_form(AbsDiff(pc, qc))
+        cf = closed_form(E.AbsDiff(pc, qc))
         if cf is None:
             results.append(GapResult(GapKind.UNKNOWN, note="branch mixes n and a_n"))
         else:
@@ -716,14 +705,10 @@ def signed_branch_gaps(p, q) -> list[SignedBranchGap]:
         base = max(onset, a.onset, b.onset)
         if d.is_zero or limit == 0.0:
             out.append(SignedBranchGap(per, pc, qc, SignKind.ZERO, onset=base))
-        elif limit > 0:
-            eps = 0.5 if limit == INF else (limit if d.is_const(limit) else limit / 2.0)
-            _, s_onset = d.sub_scalar(eps).sign_onset()
-            out.append(SignedBranchGap(per, pc, qc, SignKind.POSITIVE, eps, max(base, _onset_n(s_onset, var))))
         else:
-            eps = 0.5 if limit == -INF else (-limit if d.is_const(limit) else -limit / 2.0)
-            _, s_onset = d.neg().sub_scalar(eps).sign_onset()
-            out.append(SignedBranchGap(per, pc, qc, SignKind.NEGATIVE, eps, max(base, _onset_n(s_onset, var))))
+            kind = SignKind.POSITIVE if limit > 0 else SignKind.NEGATIVE
+            eps, s_onset = _margin(d if limit > 0 else d.neg(), abs(limit))
+            out.append(SignedBranchGap(per, pc, qc, kind, eps, max(base, _onset_n(s_onset, var))))
     return out
 
 

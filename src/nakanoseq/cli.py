@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a single JSON document")
     common.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="relative norm tolerance")
-    common.add_argument("--seed", type=int, default=None, help="reserved; no current randomized command")
 
     parser = argparse.ArgumentParser(prog="nakanoseq", description="Nakano sequence space toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,7 +22,7 @@ from ._asymptotics import (
     signed_branch_gaps,
 )
 from .errors import HorizonExhausted, InternalInconsistency
-from .series import exists_alpha, exists_alpha_branch, one_in_lrn
+from .series import decide_branch, exists_alpha, one_in_lrn
 from .verdicts import (
     Answer,
     CANONICAL_BASIS_REMARK,
@@ -176,12 +176,12 @@ def inclusion_holds(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     for g in signed_branch_gaps(p, q):
         if g.kind is not SignKind.POSITIVE:
             continue
-        nak = exists_alpha_branch(Branch(g.pset, E.NakanoExponent(g.p_core, g.q_core), g.onset))
-        if nak[0] is Answer.NO:
+        ans, nak = decide_branch(Branch(g.pset, E.NakanoExponent(g.p_core, g.q_core), g.onset), None)
+        if ans is Answer.NO:
             cert = GapEvidence(
                 f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {g.onset} "
                 "and the restricted spaces are distinct",
-                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak[1].to_json() if nak[1] else None},
+                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak.to_json() if nak else None},
             )
             return Verdict(Answer.NO, cert, NAKANO_LEMMA)
     return Verdict(Answer.UNKNOWN, v.certificate, "")

@@ -16,6 +16,9 @@ Drift and linear forms munch maximally, except that an additive number is
 left to the enclosing sum when it starts a drift of its own (so
 ``n + 1 + 1/n`` is a linear plus a drift).  ``print_expression`` emits the
 canonical form; parse → print → parse is the identity on the family.
+
+Descriptor trees deeper than ``MAX_DEPTH`` (nested calls plus chained sums)
+are refused: the analysis layers recurse once per level.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .errors import ParseError
 from .indexsets import Evens, Odds
 
 INF = math.inf
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -66,6 +70,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.nesting = 0  # parse_expr calls in progress
 
     # -- token plumbing -----------------------------------------------------
 
@@ -235,9 +240,14 @@ class _Parser:
         self.error("expected an expression", tok)
 
     def parse_expr(self) -> E.ExponentSequence:
+        # every enclosing call is a level of the tree above this expression
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels")
         node = self.parse_atom()
         while self.accept_sym("+"):
             node = E.Sum(node, self.parse_atom())
+        self.nesting -= 1
         return node
 
     def parse(self) -> E.ExponentSequence:
@@ -245,7 +255,19 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "EOF":
             self.error("unexpected trailing input", tok)
+        if _height(node) > MAX_DEPTH:
+            self.error(f"expression nests deeper than {MAX_DEPTH} levels", self.tokens[0])
         return node
+
+
+def _height(node: E.ExponentSequence) -> int:
+    """Levels of the descriptor tree, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        stack.extend((v, depth + 1) for v in vars(node).values() if isinstance(v, E.ExponentSequence))
+    return height
 
 
 def parse_expression(source: str) -> E.ExponentSequence:

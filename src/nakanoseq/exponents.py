@@ -104,6 +104,15 @@ def _denum(x) -> float:
     return INF if x == "inf" else float(x)
 
 
+def _recip(v: float) -> float:
+    """1/v with 1/∞ = 0 and 1/0 = ∞."""
+    if v == INF:
+        return 0.0
+    if v == 0.0:
+        return INF
+    return 1.0 / v
+
+
 @dataclass(frozen=True)
 class Const(ExponentSequence):
     value: float
@@ -317,12 +326,7 @@ class Recip(ExponentSequence):
     inner: ExponentSequence
 
     def eval(self, n):
-        v = self.inner.eval(n)
-        if v == INF:
-            return 0.0
-        if v == 0.0:
-            return INF
-        return 1.0 / v
+        return _recip(self.inner.eval(n))
 
     def _eval_array(self, ns):
         v = self.inner._eval_array(ns)
@@ -342,16 +346,15 @@ class RnOf(ExponentSequence):
     q: ExponentSequence
 
     def eval(self, n):
-        pv, qv = self.p.eval(n), self.q.eval(n)
-        inv = (0.0 if qv == INF else 1.0 / qv) - (0.0 if pv == INF else 1.0 / pv)
-        if inv <= 0.0:
+        inv = _recip(self.q.eval(n)) - _recip(self.p.eval(n))
+        if not inv > 0.0:  # ∞ - ∞ included, as in _eval_array
             return INF
         return 1.0 / inv
 
     def _eval_array(self, ns):
         pv = self.p._eval_array(ns)
         qv = self.q._eval_array(ns)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(qv == INF, 0.0, 1.0 / qv) - np.where(pv == INF, 0.0, 1.0 / pv)
         out = np.full(pv.shape, INF)
         pos = inv > 0
@@ -423,18 +426,6 @@ def from_json(obj: dict) -> ExponentSequence:
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 
-# asymptotic analysis (profiles, liminf gaps) lives in _asymptotics; the
-# public entry points are re-exported here.
-from ._asymptotics import (  # noqa: E402
-    AsymptoticProfile,
-    Bounds,
-    GapKind,
-    GapResult,
-    liminf_abs_gap,
-    profile,
-    signed_liminf_gap,
-)
-
 __all__ = [
     "ExponentSequence",
     "Const",
@@ -452,11 +443,4 @@ __all__ = [
     "block_value",
     "block_start",
     "block_end",
-    "profile",
-    "liminf_abs_gap",
-    "signed_liminf_gap",
-    "AsymptoticProfile",
-    "Bounds",
-    "GapKind",
-    "GapResult",
 ]

@@ -201,7 +201,7 @@ def _refine_k_onset(g, k0: int, floor: int = 2) -> int:
     return best
 
 
-def _n_convergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_onset: int):
+def _n_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
     """Comparison certificate for Σ α^{f(n)} when f is rational in n, f -> ∞."""
     form = cf.form
     gamma = form.degree()
@@ -230,7 +230,7 @@ def _n_convergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_onset
     )
 
 
-def _block_convergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_onset: int):
+def _block_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
     """Block totals k^k·α^{f(k)} <= 2^{-k} for f rational in a_n of order > 1."""
     form = cf.form
     gamma = form.degree()
@@ -249,9 +249,9 @@ def _block_convergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_o
     )
 
 
-def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_onset: int, every_alpha: bool):
-    """Block totals stay >= 1 from some block on; holds for every α when the
-    block exponent has growth order <= 1."""
+def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic):
+    """Block totals stay >= 1 from some block on, for every α: the block
+    exponent has growth order <= 1."""
     form = cf.form
     log_a = -math.log(alpha)
     m = max(1, pset.modulus // max(1, len(pset.residues)))
@@ -269,15 +269,15 @@ def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic, base_on
         return k * math.log(k) - form.eval(k) * log_a - slack
 
     k0 = _refine_k_onset(g, k0)
-    scope = (
-        f"for every α in (0,1) the block totals eventually stay >= 1; at α = {alpha:g} from block {k0}"
-        if every_alpha
-        else f"for α = {alpha:g} the block totals over the index set stay >= 1 from block {k0}"
+    return DivergenceByTerms(
+        1.0,
+        k0,
+        per_block=True,
+        statement=f"for every α in (0,1) the block totals eventually stay >= 1; at α = {alpha:g} from block {k0}",
     )
-    return DivergenceByTerms(1.0, k0, per_block=True, statement=scope)
 
 
-def _bounded_divergence_cert(cf: ClosedForm, alpha: Optional[float], pset: Periodic, base_onset: int):
+def _bounded_divergence_cert(cf: ClosedForm, alpha: Optional[float], base_onset: int):
     """Exponent has a finite limit on the branch: terms never vanish."""
     limit = cf.limit()
     cap = limit + 1.0
@@ -298,7 +298,13 @@ def _trivial_yes_cert(onset: int):
     )
 
 
-def decide_convergence_branch(alpha: float, branch: Branch) -> tuple[Answer, object]:
+def decide_branch(branch: Branch, alpha: Optional[float]) -> tuple[Answer, object]:
+    """(answer, certificate) for Σ_{branch} α^{e_n} < ∞; ``alpha=None`` asks
+    whether some α ∈ (0,1) makes it converge.
+
+    Any α works in the convergent regimes here, so the ∃α question is
+    certified at α = 1/2.
+    """
     cf = closed_form(branch.core)
     if cf is None:
         return Answer.UNKNOWN, None
@@ -308,35 +314,15 @@ def decide_convergence_branch(alpha: float, branch: Branch) -> tuple[Answer, obj
     if limit < 0:
         raise SemanticError("series exponent is certified negative; terms would not be in (0, ∞]")
     if limit != INF:
-        return Answer.NO, _bounded_divergence_cert(cf, alpha, branch.pset, branch.onset)
+        return Answer.NO, _bounded_divergence_cert(cf, alpha, branch.onset)
+    if alpha is None:
+        alpha = 0.5
     if cf.var in (None, VAR_N):
-        return Answer.YES, _n_convergence_cert(cf, alpha, branch.pset, branch.onset)
+        return Answer.YES, _n_convergence_cert(cf, alpha, branch.onset)
     # block variable
     if cf.form.degree() > 1.0:
-        return Answer.YES, _block_convergence_cert(cf, alpha, branch.pset, branch.onset)
-    return Answer.NO, _block_divergence_cert(cf, alpha, branch.pset, branch.onset, every_alpha=True)
-
-
-def exists_alpha_branch(branch: Branch) -> tuple[Answer, object, Optional[float]]:
-    """(answer, certificate, alpha) for ∃α ∈ (0,1): Σ_{branch} α^{e_n} < ∞.
-
-    Any α works in the convergent regimes here, so α = 1/2 is recorded.
-    """
-    cf = closed_form(branch.core)
-    if cf is None:
-        return Answer.UNKNOWN, None, None
-    if cf.is_inf:
-        return Answer.YES, _trivial_yes_cert(max(branch.onset, cf.onset)), 0.5
-    limit = cf.limit()
-    if limit < 0:
-        raise SemanticError("series exponent is certified negative; terms would not be in (0, ∞]")
-    if limit != INF:
-        return Answer.NO, _bounded_divergence_cert(cf, None, branch.pset, branch.onset), None
-    if cf.var in (None, VAR_N):
-        return Answer.YES, _n_convergence_cert(cf, 0.5, branch.pset, branch.onset), 0.5
-    if cf.form.degree() > 1.0:
-        return Answer.YES, _block_convergence_cert(cf, 0.5, branch.pset, branch.onset), 0.5
-    return Answer.NO, _block_divergence_cert(cf, 0.5, branch.pset, branch.onset, every_alpha=True), None
+        return Answer.YES, _block_convergence_cert(cf, alpha, branch.onset)
+    return Answer.NO, _block_divergence_cert(cf, alpha, branch.pset)
 
 
 # --------------------------------------------------------------------------
@@ -344,8 +330,11 @@ def exists_alpha_branch(branch: Branch) -> tuple[Answer, object, Optional[float]
 # --------------------------------------------------------------------------
 
 
-def _combine(parts: list[tuple[Periodic, Answer, object]], probe) -> Verdict:
-    for pset, ans, cert in parts:
+def _combine(exponent: E.ExponentSequence, alpha: Optional[float], probe) -> Verdict:
+    """Decide every branch of ``exponent``: one No decides, all Yes decide,
+    anything else is Unknown with ``probe()`` attached."""
+    parts = [(b.pset, *decide_branch(b, alpha)) for b in normalize(exponent)]
+    for _, ans, cert in parts:
         if ans is Answer.NO:
             return no(cert)
     if parts and all(ans is Answer.YES for _, ans, _ in parts):
@@ -366,35 +355,24 @@ def decide_convergence(alpha: float, exponent: E.ExponentSequence) -> Verdict:
         return no(
             DivergenceByTerms(1.0, 1, statement=f"α = {alpha:g} >= 1: terms never fall below 1"),
         )
-    parts = []
-    for b in normalize(exponent):
-        ans, cert = decide_convergence_branch(alpha, b)
-        parts.append((b.pset, ans, cert))
 
     def probe():
         s = partial_sum(alpha, exponent, PROBE_HORIZON)
         return NumericProbe(PROBE_HORIZON, ((alpha, s),), "undecided regime; partial sums attached")
 
-    return _combine(parts, probe)
+    return _combine(exponent, alpha, probe)
 
 
 def exists_alpha(exponent: E.ExponentSequence) -> Verdict:
     """Decide ∃α ∈ (0,1): Σ_{n: e(n) < ∞} α^{e(n)} < ∞."""
-    parts = []
-    alpha_used = None
-    for b in normalize(exponent):
-        ans, cert, alpha = exists_alpha_branch(b)
-        parts.append((b.pset, ans, cert))
-        if alpha is not None:
-            alpha_used = alpha
 
     def probe():
         sums = tuple(zip(PROBE_ALPHAS, _direct_partial_sums(PROBE_ALPHAS, exponent, PROBE_HORIZON)))
         return NumericProbe(PROBE_HORIZON, sums, "undecided regime; probes at several α attached")
 
-    verdict = _combine(parts, probe)
+    verdict = _combine(exponent, None, probe)
     if verdict.answer is Answer.YES:
-        return yes(AlphaCertificate(alpha_used if alpha_used is not None else 0.5, verdict.certificate))
+        return yes(AlphaCertificate(0.5, verdict.certificate))
     return verdict
 
 
@@ -448,6 +426,19 @@ def _block_branches(exponent: E.ExponentSequence):
     return out
 
 
+def _add_block(total: float, alpha: float, blocks, k: int, start: int, end: int) -> float:
+    """``total`` plus the terms of block k at indices start..end, added branch
+    by branch; indices before a branch's onset are left out."""
+    for b, cf in blocks:
+        count = b.pset.count_in_range(max(start, b.onset, cf.onset), end)
+        if count == 0:
+            continue
+        val = cf.eval_x(float(k)) if cf.var == VAR_A else cf.limit()
+        if val != INF:
+            total += count * alpha**val
+    return total
+
+
 def partial_sum(alpha: float, exponent: E.ExponentSequence, horizon: int) -> float:
     """Σ_{n <= horizon, e(n) < ∞} α^{e(n)} for α ∈ (0,1); exact per-block
     aggregation makes astronomically large horizons affordable for block
@@ -473,14 +464,7 @@ def partial_sum(alpha: float, exponent: E.ExponentSequence, horizon: int) -> flo
         start = max(E.block_start(k), lead_in + 1)
         if start > horizon:
             break
-        end = min(E.block_end(k), horizon)
-        for b, cf in blocks:
-            count = b.pset.count_in_range(start, end)
-            if count == 0:
-                continue
-            val = cf.eval_x(float(k)) if cf.var == VAR_A else cf.limit()
-            if val != INF:
-                total += count * alpha**val
+        total = _add_block(total, alpha, blocks, k, start, min(E.block_end(k), horizon))
         k += 1
     return total
 
@@ -491,19 +475,11 @@ def divergence_horizon(alpha: float, exponent: E.ExponentSequence, threshold: fl
     blocks = _block_branches(exponent)
     if blocks is not None:
         total = 0.0
-        k = 1
-        while k < 10**6:
-            start, end = E.block_start(k), E.block_end(k)
-            for b, cf in blocks:
-                count = b.pset.count_in_range(max(start, max(b.onset, cf.onset)), end)
-                if count == 0:
-                    continue
-                val = cf.eval_x(float(k)) if cf.var == VAR_A else cf.limit()
-                if val != INF:
-                    total += count * alpha**val
+        for k in range(1, 10**6):
+            end = E.block_end(k)
+            total = _add_block(total, alpha, blocks, k, E.block_start(k), end)
             if total >= threshold:
                 return end
-            k += 1
         raise SemanticError("no divergence horizon found within 10^6 blocks")
     total = 0.0
     n = 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable
@@ -44,9 +45,8 @@ class SparseVector:
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[int, float]]) -> "SparseVector":
         acc: dict[int, float] = {}
-        for idx, val in pairs:
-            idx = int(idx)
-            val = float(val)
+        for pair in pairs:
+            idx, val = _entry(pair)
             if idx < 1:
                 raise SemanticError(f"vector index must be >= 1, got {idx}")
             if not math.isfinite(val):
@@ -60,7 +60,9 @@ class SparseVector:
     @staticmethod
     def from_json(obj) -> "SparseVector":
         if isinstance(obj, dict):
-            obj = obj["entries"]
+            obj = obj.get("entries")
+        if not isinstance(obj, list):
+            raise SemanticError('a vector is a list of [index, value] pairs, or {"entries": [...]}')
         return SparseVector.from_pairs(obj)
 
     def to_json(self) -> dict:
@@ -90,6 +92,28 @@ class SparseVector:
 
     def abs(self) -> "SparseVector":
         return SparseVector(tuple((i, abs(v)) for i, v in self.entries))
+
+
+def _entry(pair) -> tuple[int, float]:
+    """(index, value) of one vector entry: an integral, finite, non-bool index
+    and a real value."""
+    try:
+        idx, val = pair
+    except (TypeError, ValueError):
+        raise SemanticError(f"vector entries must be [index, value] pairs, got {pair!r}") from None
+    if type(idx) is not int:
+        integral = isinstance(idx, numbers.Integral) or (isinstance(idx, float) and idx.is_integer())
+        if isinstance(idx, bool) or not integral:
+            raise SemanticError(f"vector index must be an integer, got {idx!r}")
+        idx = int(idx)
+    if type(val) is not float:
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise SemanticError(f"vector value must be a real number, got {val!r} at index {idx}")
+        try:
+            val = float(val)
+        except OverflowError:
+            raise SemanticError(f"vector entry at index {idx} is beyond the float64 range") from None
+    return idx, val
 
 
 def basis_vector(index: int, value: float = 1.0) -> SparseVector:
@@ -137,7 +161,11 @@ def _support_arrays(p: ExponentSequence, x: SparseVector) -> tuple[np.ndarray, n
     ns = np.fromiter(map(itemgetter(0), entries[:cut]), dtype=np.float64, count=cut)
     exps = p._eval_array(ns)
     if cut < n:
-        exps = np.concatenate([exps, [float(p.eval(i)) for i, _ in entries[cut:]]])
+        try:
+            tail = [float(p.eval(i)) for i, _ in entries[cut:]]
+        except OverflowError:
+            raise SemanticError("the exponent cannot be evaluated at a support index this large") from None
+        exps = np.concatenate([exps, tail])
     return absx, exps
 
 

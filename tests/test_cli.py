@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: rendering, JSON output, and the exit-code contract."""
+import contextlib
+import io
 import json
+import random
 
 import pytest
 
 from nakanoseq import cli
+from nakanoseq.dsl import MAX_DEPTH
 from nakanoseq.errors import InternalInconsistency
 
 
@@ -211,3 +215,101 @@ def test_exit_6_on_horizon_exhausted(capsys):
 def test_argparse_errors_map_to_2(capsys):
     code, _, _ = run(capsys, "bogus-command")
     assert code == 2
+
+
+# -- seeded fuzz over norm and space ----------------------------------------------
+
+FUZZ_EXPRESSIONS = ["2", "prefix(1=1; 2)", "blocks", "1 + 1/n", "n", "2 + recip(blocks)", "4"]
+FUZZ_WRAPPERS = [
+    "recip({})",
+    "rn({}, 2)",
+    "rn(recip(inf), {})",
+    "nakexp({}, 3)",
+    "absdiff({}, n)",
+    "merge(even: {}, 2)",
+    "2 + recip({})",
+]
+FUZZ_VECTORS = [[[1, 1], [2, 1]], [[1, 0.5], [3, -2.0], [8, 1.5]]]
+# JSON-expressible oddities, plus indices past float64's exact integers and range
+FUZZ_ODD = ["x", True, None, 1.5, 2.0, 1e400, 10**400, 2**53 + 1, 0, -3, [1]]
+
+
+def _fuzz_expression(rng):
+    text = rng.choice(FUZZ_EXPRESSIONS)
+    roll = rng.random()
+    if roll < 0.4:
+        # a few levels of nesting, or past the parser's depth cap
+        for _ in range(rng.choice([1, 2, 3, MAX_DEPTH + 1, 3000])):
+            text = rng.choice(FUZZ_WRAPPERS).format(text)
+    elif roll < 0.6:
+        text = text.replace(rng.choice("2n4"), rng.choice(["inf", "recip(inf)", "0.5", "1e400"]), 1)
+    elif roll < 0.8:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice("()+,;:=x*^/ ") + text[cut:]
+    return text
+
+
+def _fuzz_vector(rng):
+    entries = [list(e) for e in rng.choice(FUZZ_VECTORS)]
+    for entry in entries:
+        if rng.random() < 0.3:
+            entry[rng.randrange(2)] = rng.choice(FUZZ_ODD)
+    roll = rng.random()
+    if roll < 0.1:
+        obj = [v for e in entries for v in e]  # pairs flattened
+    elif roll < 0.2:
+        obj = {rng.choice(["entries", "enries"]): entries}
+    elif roll < 0.3:
+        obj = entries + [[4, 1, 1]]
+    else:
+        obj = entries
+    text = json.dumps(obj)
+    if rng.random() < 0.1:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def test_fuzz_norm_and_space_exit_codes():
+    # every input ends in a documented exit code, never in an exception
+    rng = random.Random(2024)
+    failures = []
+    for _ in range(200):
+        if rng.random() < 0.7:
+            argv = ["norm", _fuzz_expression(rng), _fuzz_vector(rng)]
+        else:
+            argv = ["space", _fuzz_expression(rng)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 -- collected and reported below
+                failures.append((argv, repr(exc)[:200]))
+                continue
+        if code not in (0, 2, 3, 5, 6):
+            failures.append((argv, f"exit {code}"))
+    assert not failures, failures[:5]
+
+
+# -- expression nesting cap -------------------------------------------------------
+
+
+def _nested_recip(depth):
+    return "recip(" * (depth - 1) + "2" + ")" * (depth - 1)
+
+
+@pytest.mark.parametrize("expr", [_nested_recip(MAX_DEPTH), " + ".join(["2"] * MAX_DEPTH)], ids=["recip", "sum"])
+def test_space_and_compare_at_the_depth_cap(capsys, expr):
+    assert run(capsys, "space", expr)[0] == 0
+    assert run(capsys, "compare", expr, "2")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "expr", [_nested_recip(MAX_DEPTH + 1), "recip(" * 3000 + "2" + ")" * 3000], ids=["one-over", "3000"]
+)
+def test_exit_2_past_the_depth_cap(capsys, expr):
+    code, _, err = run(capsys, "space", expr)
+    assert code == 2
+    assert f"deeper than {MAX_DEPTH}" in err
+
+
+def test_seed_flag_removed(capsys):
+    assert run(capsys, "norm", "2", "[[1,1]]", "--seed", "3")[0] == 2

@@ -1,7 +1,10 @@
 """Descriptor evaluation, the block sequence, JSON round-trips, and the
 certified asymptotic profiles."""
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from nakanoseq import (
     profile,
     signed_liminf_gap,
 )
+import nakanoseq
 from nakanoseq.exponents import from_json
 
 from _generators import gen_dsl_ast, gen_exponent
@@ -278,3 +282,33 @@ def test_profile_random_descriptors_enclose_samples():
             assert finite.max() <= prof.limsup.hi + 1e-9
         if finite.size and prof.liminf.lo != INF:
             assert finite.min() >= prof.liminf.lo - 1e-9
+
+
+def test_rn_of_zero_operand_follows_reciprocal_rule():
+    # 1/0 = ∞ in the scalar path too, matching eval_range
+    for seq in (RnOf(Recip(Const(INF)), Const(2)), RnOf(Const(2), Recip(Const(INF)))):
+        assert seq.eval(3) == seq.eval_range(3, 4)[0]
+    assert RnOf(Recip(Const(INF)), Const(2)).eval(2**53 + 1) == INF
+
+
+def test_exponents_does_not_import_asymptotics():
+    # the import runs one way: _asymptotics -> exponents.  A bare package
+    # object stands in for nakanoseq/__init__.py, which imports everything.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('nakanoseq')\n"
+        f"pkg.__path__ = [{os.path.dirname(nakanoseq.__file__)!r}]\n"
+        "sys.modules['nakanoseq'] = pkg\n"
+        "import nakanoseq.exponents\n"
+        "assert 'nakanoseq._asymptotics' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_rn_of_zero_operand_closed_form_matches_eval():
+    # rn(0, n) is ∞ at every n, so this exponent is 2 everywhere
+    seq = Merge(Evens(), Sum(Const(2), Recip(RnOf(Recip(Const(INF)), Linear(1)))), Const(2))
+    assert set(seq.eval_range(1, 100)) == {2.0}
+    prof = profile(seq)
+    assert prof.bounded_above is Answer.YES
+    assert (prof.liminf.lo, prof.limsup.hi) == (2.0, 2.0)

@@ -23,6 +23,7 @@ from nakanoseq import (
     Prefix,
     RationalDrift,
     Recip,
+    RnOf,
     SemanticError,
     Sum,
     Evens,
@@ -34,9 +35,10 @@ from nakanoseq import (
     one_in_lrn,
     partial_sum,
 )
-from nakanoseq.series import PROBE_ALPHAS, PROBE_HORIZON
+from nakanoseq._asymptotics import normalize
+from nakanoseq.series import PROBE_ALPHAS, PROBE_HORIZON, decide_branch
 
-from _generators import gen_exponent
+from _generators import gen_exponent, gen_pair
 
 INF = math.inf
 
@@ -265,3 +267,20 @@ def test_exists_alpha_prefix_invariance():
     assert exists_alpha(Prefix(((1, 1.0), (5, 2.0)), e)).answer is Answer.YES
     c = Const(4.0)
     assert exists_alpha(Prefix(((2, 10.0),), c)).answer is Answer.NO
+
+
+def test_decide_branch_exists_alpha_matches_alpha_half():
+    # ∃α is certified at α = 1/2: both questions agree on every branch
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(150):
+        p, q = gen_pair(rng)
+        for seq in (p, NakanoExponent(p, q), RnOf(p, q)):
+            for branch in normalize(seq):
+                ans_half, cert_half = decide_branch(branch, 0.5)
+                ans_any, cert_any = decide_branch(branch, None)
+                assert ans_half is ans_any
+                if ans_any is Answer.YES:
+                    assert cert_half == cert_any
+                    checked += 1
+    assert checked > 100

@@ -279,3 +279,22 @@ def test_norm_lattice_monotonicity(x, shrink):
     r_small = luxemburg_norm(MIXED_P, smaller)
     r_big = luxemburg_norm(MIXED_P, x)
     assert r_small.value <= r_big.value * (1 + 1e-11)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[[1, "x"]], [1, 2], {"enries": [[1, 1]]}, [[1e400, 1]], [[1.5, 2]], [[True, 1]], [[1, True]], [[1, 10**400]], 7],
+    ids=["str-value", "flat", "bad-key", "inf-index", "fractional-index", "bool-index", "bool-value", "huge-value", "scalar"],
+)
+def test_from_json_rejects_malformed_entries(obj):
+    with pytest.raises(SemanticError):
+        SparseVector.from_json(obj)
+
+
+def test_from_json_accepts_integral_float_index():
+    assert SparseVector.from_json([[2.0, 1]]) == SparseVector.from_json({"entries": [[2, 1.0]]})
+
+
+def test_norm_rejects_exponent_beyond_float_range():
+    with pytest.raises(SemanticError):
+        luxemburg_norm(parse_expression("n"), SparseVector.from_pairs([(10**400, 1.0)]))
