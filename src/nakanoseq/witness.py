@@ -23,7 +23,8 @@ from .verdicts import Answer
 INF = math.inf
 
 SCAN_HORIZON = 10**7
-_CHUNK = 100_000
+_FIRST_CHUNK = 64
+_CHUNK = 2**14  # chunk cap: small arrays stay in cache
 _REL_SLACK = 1e-12  # slack for float roundoff in the gap/growth comparisons
 
 
@@ -54,16 +55,31 @@ class WitnessSubsequence:
         return "\n".join(lines)
 
 
-def _scan(predicate_chunk, start: int, horizon: int, k: int, what: str) -> int:
-    """First index n >= start with predicate true, scanning in chunks."""
-    n = start
-    while n <= horizon:
-        stop = min(horizon + 1, n + _CHUNK)
-        hits = np.nonzero(predicate_chunk(n, stop))[0]
-        if hits.size:
-            return n + int(hits[0])
-        n = stop
-    raise HorizonExhausted(f"no index with {what} found for k={k} within {horizon} terms", k, horizon)
+def _scan(eval_range, hit, count: int, horizon: int, what: str) -> list[int]:
+    """First ``count`` indices n_1 < n_2 < ... <= horizon with ``hit(values, k)``
+    true at n_k, in one forward pass: each chunk of ``eval_range`` values is
+    computed once and serves every k until it runs out.  Chunks double from
+    ``_FIRST_CHUNK`` up to ``_CHUNK``, so the cost follows the last index reached."""
+    indices: list[int] = []
+    n = base = stop = 1  # next index to test; the chunk in hand covers [base, stop)
+    size = _FIRST_CHUNK
+    for k in range(1, count + 1):
+        while True:
+            if n == stop:
+                if n > horizon:
+                    raise HorizonExhausted(
+                        f"no index with {what.format(k=k)} found for k={k} within {horizon} terms", k, horizon
+                    )
+                base, stop = n, min(horizon + 1, n + size)
+                values = eval_range(base, stop)
+                size = min(2 * size, _CHUNK)
+            hits = np.flatnonzero(hit(values[n - base :], k))
+            if hits.size:
+                break
+            n = stop
+        indices.append(n + int(hits[0]))
+        n = indices[-1] + 1
+    return indices
 
 
 def equality_witness(
@@ -85,21 +101,10 @@ def equality_witness(
 
     diff = E.AbsDiff(p, q)
     nak = E.NakanoExponent(p, q)
-    indices: list[int] = []
-    gaps: list[float] = []
-    start = 1
-    for k in range(1, count + 1):
-        bound = (1.0 / k) * (1.0 + _REL_SLACK)
-        n = _scan(
-            lambda a, b: diff.eval_range(a, b) <= bound,
-            start,
-            horizon,
-            k,
-            f"|p_n - q_n| <= 1/{k}",
-        )
-        indices.append(n)
-        gaps.append(diff.eval(n))
-        start = n + 1
+    indices = _scan(
+        diff.eval_range, lambda d, k: d <= (1.0 / k) * (1.0 + _REL_SLACK), count, horizon, "|p_n - q_n| <= 1/{k}"
+    )
+    gaps = [diff.eval(n) for n in indices]
 
     modular_half = 0.0
     for n in indices:
@@ -123,16 +128,8 @@ def linf_witness(p: E.ExponentSequence, count: int, horizon: int = SCAN_HORIZON)
             f"{prof.bounded_above.value}"
         )
 
-    indices: list[int] = []
-    values: list[float] = []
-    start = 1
-    for k in range(1, count + 1):
-        bound = k * (1.0 - _REL_SLACK)
-        vals_needed = lambda a, b: ~(p.eval_range(a, b) < bound)
-        n = _scan(vals_needed, start, horizon, k, f"p_n >= {k}")
-        indices.append(n)
-        values.append(p.eval(n))
-        start = n + 1
+    indices = _scan(p.eval_range, lambda v, k: ~(v < k * (1.0 - _REL_SLACK)), count, horizon, "p_n >= {k}")
+    values = [p.eval(n) for n in indices]
 
     modular_half = 0.0
     for v in values:

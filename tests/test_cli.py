@@ -289,6 +289,42 @@ def test_fuzz_norm_and_space_exit_codes():
     assert not failures, failures[:5]
 
 
+FUZZ_COUNTS = ["0", "-1", "1", "5", "8", "12", "40"]
+FUZZ_LENGTHS = ["", "0", "4,3", "1e3", "8"]
+
+
+def _fuzz_witness_or_probe(rng):
+    p, q = _fuzz_expression(rng), _fuzz_expression(rng)
+    if rng.random() < 0.5:
+        if rng.random() < 0.5:
+            q = f"{p} + recip({q})"  # a vanishing gap, as in the README's witness pair
+        argv = ["witness", p] + ([q] if rng.random() < 0.8 else [])
+        argv += ["--count", rng.choice(FUZZ_COUNTS)] + (["--linf"] if rng.random() < 0.5 else [])
+    else:
+        argv = ["probe", p, q, "--lengths", rng.choice(FUZZ_LENGTHS), "--set", rng.choice(["even", "odd"])]
+        if rng.random() < 0.5:
+            argv += ["--tol", rng.choice(["0", "nan", "inf"])]
+    return argv
+
+
+def test_fuzz_witness_and_probe_exit_codes():
+    # every input ends in a documented exit code, never in an exception; a
+    # scan that runs to the horizon exits 6
+    rng = random.Random(2026)
+    failures = []
+    for _ in range(150):
+        argv = _fuzz_witness_or_probe(rng)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 -- collected and reported below
+                failures.append((argv, repr(exc)[:200]))
+                continue
+        if code not in (0, 2, 3, 5, 6):
+            failures.append((argv, f"exit {code}"))
+    assert not failures, failures[:5]
+
+
 # -- expression nesting cap -------------------------------------------------------
 
 

@@ -1,13 +1,17 @@
 """Witness subsequences and empirical norm-ratio probes."""
 import math
+import random
 
 import pytest
 
+from _generators import gen_pair
 from nakanoseq import (
     All,
+    Answer,
     BlockRepeat,
     Const,
     Evens,
+    GapKind,
     HorizonExhausted,
     Linear,
     PreconditionError,
@@ -15,9 +19,13 @@ from nakanoseq import (
     Recip,
     Sum,
     equality_witness,
+    liminf_abs_gap,
     linf_witness,
+    parse_expression,
+    profile,
     ratio_decay_profile,
 )
+from nakanoseq import witness as W
 
 INF = math.inf
 
@@ -101,6 +109,128 @@ def test_linf_witness_growth_law():
 def test_linf_witness_precondition():
     with pytest.raises(PreconditionError):
         linf_witness(Const(2), 3)
+
+
+# -- scan against a scalar reference --------------------------------------------
+
+
+def _reference_indices(value, hit, count):
+    """First ``count`` indices n_1 < n_2 < ... with hit(value(n_k), k), one
+    index at a time through scalar ``eval``."""
+    indices, n = [], 1
+    for k in range(1, count + 1):
+        while not hit(value(n), k):
+            n += 1
+        indices.append(n)
+        n += 1
+    return tuple(indices)
+
+
+def _reference_equality(p, q, count):
+    def gap(n):
+        a, b = p.eval(n), q.eval(n)
+        return 0.0 if a == b else abs(a - b)
+
+    return _reference_indices(gap, lambda d, k: d <= (1.0 / k) * (1.0 + 1e-12), count)
+
+
+def _reference_linf(p, count):
+    return _reference_indices(p.eval, lambda v, k: not v < k * (1.0 - 1e-12), count)
+
+
+def test_witnesses_match_scalar_reference_on_seeded_pairs():
+    rng = random.Random(88)
+    seen = {"equality": 0, "linf": 0}
+    for _ in range(300):
+        p, q = gen_pair(rng)
+        if liminf_abs_gap(p, q).kind is GapKind.ZERO:
+            assert equality_witness(p, q, 6).indices == _reference_equality(p, q, 6), (p, q)
+            seen["equality"] += 1
+        if profile(p).bounded_above is Answer.NO:
+            assert linf_witness(p, 6).indices == _reference_linf(p, 6), p
+            seen["linf"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "p, q, count, last",
+    [
+        ("blocks", "blocks + recip(blocks)", 7, 50070),
+        ("2", "2 + recip(blocks)", 7, 50070),
+        ("n", "n + recip(n)", 300, 301),
+    ],
+)
+def test_equality_witness_across_chunks_matches_scalar_reference(p, q, count, last):
+    # the last index lies past several chunk boundaries
+    p, q = parse_expression(p), parse_expression(q)
+    wit = equality_witness(p, q, count)
+    assert wit.indices == _reference_equality(p, q, count)
+    assert wit.indices[-1] == last
+
+
+def test_linf_witness_across_chunks_matches_scalar_reference():
+    p = parse_expression("merge(odd: blocks, 2)")
+    assert linf_witness(p, 7).indices == _reference_linf(p, 7)
+
+
+# -- scan cost ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linf_witness(Linear(1, 0), 2000),
+        lambda: equality_witness(parse_expression("n"), parse_expression("n + recip(n)"), 1000),
+    ],
+    ids=["linf-n", "equality-n"],
+)
+def test_scan_cost_follows_last_index(monkeypatch, call):
+    terms = []  # the length of every range the scan evaluates
+    scan = W._scan
+
+    def counting_scan(eval_range, *args):
+        def counted(start, stop):
+            terms.append(stop - start)
+            return eval_range(start, stop)
+
+        return scan(counted, *args)
+
+    monkeypatch.setattr(W, "_scan", counting_scan)
+    wit = call()
+    assert sum(terms) <= 2 * wit.indices[-1] + W._FIRST_CHUNK, terms
+
+
+# -- scan horizon ------------------------------------------------------------------
+
+# [DERIVED] block j starts at 1 + sum_{i<j} i^i: 1, 2, 6, 33, 289, 3414, 50070, 873613
+
+
+def test_hit_at_the_horizon_is_found():
+    assert linf_witness(BlockRepeat(), 4, horizon=33).indices == (1, 2, 6, 33)
+    assert equality_witness(Const(2), EX3_Q, 6, horizon=3414).indices == (1, 2, 6, 33, 289, 3414)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda h: linf_witness(BlockRepeat(), 6, horizon=h), "p_n >= 6"),
+        (lambda h: equality_witness(Const(2), EX3_Q, 6, horizon=h), "|p_n - q_n| <= 1/6"),
+    ],
+    ids=["linf", "equality"],
+)
+def test_horizon_one_short_of_the_hit(call, what):
+    # the sixth hit is at 3414; no chunk size divides 3413 or 3414
+    with pytest.raises(HorizonExhausted) as info:
+        call(3413)
+    assert (info.value.k, info.value.horizon) == (6, 3413)
+    assert str(info.value) == f"no index with {what} found for k=6 within 3413 terms"
+
+
+def test_linf_witness_default_horizon_exhausted():
+    with pytest.raises(HorizonExhausted) as info:
+        linf_witness(BlockRepeat(), 12)
+    assert (info.value.k, info.value.horizon) == (9, W.SCAN_HORIZON)
+    assert str(info.value) == "no index with p_n >= 9 found for k=9 within 10000000 terms"
 
 
 # -- ratio profiles -----------------------------------------------------------------
