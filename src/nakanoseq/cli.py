@@ -104,6 +104,8 @@ def _cmd_space(args) -> int:
         print(_verdict_line("contains_linf_copy", prof.contains_linf_copy))
         if prof.linf_witness is not None:
             print(prof.linf_witness.to_text())
+        if prof._linf_exhausted is not None:
+            print(f"note: sup-norm witness scan exhausted: {prof._linf_exhausted}")
     return EXIT_OK
 
 

@@ -101,6 +101,8 @@ class SpaceProfile:
     contains_linf_copy: Verdict
     profile: AsymptoticProfile
     linf_witness: Optional[object] = None  # WitnessSubsequence when a copy exists
+    # why linf_witness is missing although a copy exists; not part of the JSON
+    _linf_exhausted: Optional[HorizonExhausted] = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         return {
@@ -140,15 +142,15 @@ def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile
         reflexive = Verdict(Answer.UNKNOWN, ev)
         linf = Verdict(Answer.UNKNOWN, ev)
 
-    wit = None
+    wit = exhausted = None
     if linf.answer is Answer.YES and witness_count > 0:
         from .witness import linf_witness
 
         try:
             wit = linf_witness(p, witness_count)
-        except HorizonExhausted:
-            wit = None
-    return SpaceProfile(separable, reflexive, linf, prof, wit)
+        except HorizonExhausted as exc:
+            exhausted = exc
+    return SpaceProfile(separable, reflexive, linf, prof, wit, exhausted)
 
 
 # --------------------------------------------------------------------------

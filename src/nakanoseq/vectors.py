@@ -22,6 +22,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
@@ -34,6 +35,7 @@ INF = math.inf
 
 DEFAULT_REL_TOL = 1e-12
 MAX_ITERATIONS = 200
+_EXACT_INDEX_LIMIT = 2**53  # eval_range takes float64 indices, exact below this
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,9 @@ class SparseVector:
         return len(self.entries)
 
     def __getitem__(self, idx: int) -> float:
-        for i, v in self.entries:
-            if i == idx:
-                return v
+        k = bisect.bisect_left(self.entries, idx, key=itemgetter(0))
+        if k < len(self.entries) and self.entries[k][0] == idx:
+            return self.entries[k][1]
         return 0.0
 
     def scale(self, factor: float) -> "SparseVector":
@@ -92,6 +94,18 @@ class SparseVector:
 
     def abs(self) -> "SparseVector":
         return SparseVector(tuple((i, abs(v)) for i, v in self.entries))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """|x_i| and the indices below 2**53 as read-only float64 arrays, and
+        the indices from 2**53 on as exact ints; built on first use and kept
+        in the instance dict, outside ``==``, ``hash`` and ``repr``."""
+        entries = self.entries
+        absx = np.abs(np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=len(entries)))
+        cut = bisect.bisect_left(entries, _EXACT_INDEX_LIMIT, key=itemgetter(0))
+        ns = np.fromiter(map(itemgetter(0), entries[:cut]), dtype=np.float64, count=cut)
+        absx.flags.writeable = ns.flags.writeable = False
+        return absx, ns, tuple(map(itemgetter(0), entries[cut:]))
 
 
 def _entry(pair) -> tuple[int, float]:
@@ -149,20 +163,13 @@ class NormResult:
         }
 
 
-_EXACT_INDEX_LIMIT = 2**53  # eval_range takes float64 indices, exact below this
-
-
 def _support_arrays(p: ExponentSequence, x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
     """|x_i| and p_i over the support of ``x``, as float64 arrays in index order."""
-    entries = x.entries
-    n = len(entries)
-    absx = np.abs(np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=n))
-    cut = bisect.bisect_left(entries, _EXACT_INDEX_LIMIT, key=itemgetter(0))
-    ns = np.fromiter(map(itemgetter(0), entries[:cut]), dtype=np.float64, count=cut)
+    absx, ns, big = x._arrays
     exps = p._eval_array(ns)
-    if cut < n:
+    if big:
         try:
-            tail = [float(p.eval(i)) for i, _ in entries[cut:]]
+            tail = [float(p.eval(i)) for i in big]
         except OverflowError:
             raise SemanticError("the exponent cannot be evaluated at a support index this large") from None
         exps = np.concatenate([exps, tail])

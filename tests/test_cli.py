@@ -75,6 +75,20 @@ def test_space_command(capsys):
     assert "Prop 1.4" in out
 
 
+def test_space_notes_an_exhausted_witness_scan(capsys):
+    # |a_n - 4| >= 5 first holds in block 9, which starts at n = 17650829
+    code, out, _ = run(capsys, "space", "absdiff(blocks, 4)")
+    assert code == 0
+    assert "contains_linf_copy: Yes" in out
+    assert out.splitlines()[-1] == (
+        "note: sup-norm witness scan exhausted: no index with p_n >= 5 found for k=5 within 10000000 terms"
+    )
+    code, out, _ = run(capsys, "space", "absdiff(blocks, 4)", "--json")
+    assert code == 0
+    assert json.loads(out)["linf_witness"] is None
+    assert "exhausted" not in out
+
+
 def test_compare_example_one(capsys):
     code, out, _ = run(capsys, "compare", "1 + 1/n", "n")
     assert code == 0
@@ -113,6 +127,16 @@ def test_compare_unknown_shows_probe_sums(capsys):
     assert line.startswith("spaces_equal: Unknown — ")
     assert line.count(" — ") == 1
     assert "partial sums to 1000000: α=0.5: " in line
+
+
+def test_probe_flat_ratio_closed_form(capsys):
+    # [DERIVED] the flat vector of N ones has norm N^(1/p), so the ratio is N^(1/4 - 1/2)
+    code, out, _ = run(capsys, "probe", "2", "4", "--lengths", "4,64,1024,4096", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["length"] for row in rows] == [4, 64, 1024, 4096]
+    for row in rows:
+        assert abs(row["ratio"] - row["length"] ** -0.25) <= 1e-9
 
 
 def test_witness_equality(capsys):
@@ -314,6 +338,33 @@ def test_fuzz_witness_and_probe_exit_codes():
     failures = []
     for _ in range(150):
         argv = _fuzz_witness_or_probe(rng)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 -- collected and reported below
+                failures.append((argv, repr(exc)[:200]))
+                continue
+        if code not in (0, 2, 3, 5, 6):
+            failures.append((argv, f"exit {code}"))
+    assert not failures, failures[:5]
+
+
+def _fuzz_compare(rng):
+    p, q = _fuzz_expression(rng), _fuzz_expression(rng)
+    roll = rng.random()
+    if roll < 0.3:
+        q = f"{p} + recip({q})"  # a vanishing gap
+    elif roll < 0.45:
+        q = p
+    return ["compare", p, q] + (["--json"] if rng.random() < 0.5 else [])
+
+
+def test_fuzz_compare_exit_codes():
+    # every input ends in a documented exit code, never in an exception
+    rng = random.Random(2027)
+    failures = []
+    for _ in range(120):
+        argv = _fuzz_compare(rng)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = cli.main(argv)

@@ -53,6 +53,14 @@ def test_space_profile_blocks():
     assert sp.linf_witness.indices == (1, 2, 6, 33, 289)
 
 
+def test_space_profile_keeps_why_the_witness_is_missing():
+    sp = space_profile(BlockRepeat(), witness_count=12)
+    assert sp.contains_linf_copy.answer is Answer.YES
+    assert sp.linf_witness is None
+    assert str(sp._linf_exhausted) == "no index with p_n >= 9 found for k=9 within 10000000 terms"
+    assert sp.to_json() == space_profile(BlockRepeat(), witness_count=0).to_json()
+
+
 def test_space_profile_l2():
     sp = space_profile(Const(2))
     assert sp.separable.answer is Answer.YES

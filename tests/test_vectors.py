@@ -298,3 +298,68 @@ def test_from_json_accepts_integral_float_index():
 def test_norm_rejects_exponent_beyond_float_range():
     with pytest.raises(SemanticError):
         luxemburg_norm(parse_expression("n"), SparseVector.from_pairs([(10**400, 1.0)]))
+
+
+# -- support arrays, built once per vector ----------------------------------------
+
+
+class _CountingEntries(tuple):
+    """An entries tuple that counts the full passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        type(self).passes += 1
+        return super().__iter__()
+
+
+def test_support_arrays_built_once_per_vector(monkeypatch):
+    monkeypatch.setattr(_CountingEntries, "passes", 0)
+    x = SparseVector(_CountingEntries((i, (-1.0) ** i / i) for i in range(1, 200)))
+    luxemburg_norm(Const(2), x)
+    luxemburg_norm(parse_expression("1 + 1/n"), x)
+    modular(BlockRepeat(), x)
+    assert _CountingEntries.passes == 1
+
+
+MIXED_SUPPORT = [(1, 0.5), (2, -0.25), (2**53, 0.75), (2**53 + 2, -0.125)]
+
+
+@pytest.mark.parametrize("text", ["blocks", "n"])
+def test_support_arrays_across_the_exact_index_limit(text):
+    p, x = parse_expression(text), SparseVector.from_pairs(MIXED_SUPPORT)
+    assert modular(p, x) == pytest.approx(reference_modular(p, x, 1.0), rel=1e-14)
+    r = luxemburg_norm(p, x)
+    assert r.converged
+    assert reference_modular(p, x, r.value) <= 1 + 1e-12
+    if r.bracket[0] < r.value:
+        assert reference_modular(p, x, r.bracket[0]) > 1 - 1e-12
+    # the cached arrays give the same answers again
+    assert luxemburg_norm(p, x) == r
+    assert modular(p, x) == modular(p, SparseVector.from_pairs(MIXED_SUPPORT))
+
+
+def test_norm_names_a_tail_index_with_exponent_below_one():
+    # recip(a_n) is 1 at n = 1 and 1/14 at n = 2**53 + 2
+    x = SparseVector.from_pairs([(1, 1.0), (2**53 + 2, 1.0)])
+    with pytest.raises(SemanticError, match=f"at index {2**53 + 2}$"):
+        luxemburg_norm(Recip(BlockRepeat()), x)
+
+
+def test_norm_leaves_the_vector_value_unchanged():
+    x, fresh = SparseVector.from_pairs(MIXED_SUPPORT), SparseVector.from_pairs(MIXED_SUPPORT)
+    luxemburg_norm(BlockRepeat(), x)
+    modular(Const(2), x)
+    assert x == fresh
+    assert hash(x) == hash(fresh)
+    assert repr(x) == repr(fresh)
+    assert x.to_json() == fresh.to_json()
+
+
+def test_getitem_by_index():
+    x = SparseVector.from_pairs(MIXED_SUPPORT + [(10**400, 3.0)])
+    assert [x[i] for i, _ in MIXED_SUPPORT] == [v for _, v in MIXED_SUPPORT]
+    assert x[10**400] == 3.0
+    for missing in (0, 3, 2**53 - 1, 2**53 + 1, 2**60, 10**401):
+        assert x[missing] == 0.0
+    assert SparseVector(())[1] == 0.0
