@@ -27,6 +27,7 @@ from .errors import SemanticError
 from .indexsets import IndexSet, index_set_from_json, index_set_to_json
 
 INF = math.inf
+EVAL_BLOCK = 2**14  # indices per _eval_array call in eval_range: a block's temporaries stay in cache
 
 
 # --------------------------------------------------------------------------
@@ -79,10 +80,17 @@ class ExponentSequence:
     def eval_range(self, start: int, stop: int) -> np.ndarray:
         """Values at n = start..stop-1 as float64 (∞ allowed).
 
-        Vectorized fast path; indices must stay below 2**53.
+        Vectorized fast path, one ``_eval_array`` call per ``EVAL_BLOCK``
+        indices, so memory is the output plus one block; indices must stay
+        below 2**53.
         """
-        ns = np.arange(start, stop, dtype=np.float64)
-        return self._eval_array(ns)
+        if stop - start <= EVAL_BLOCK:
+            return self._eval_array(np.arange(start, stop, dtype=np.float64))
+        out = np.empty(stop - start)
+        for lo in range(start, stop, EVAL_BLOCK):
+            hi = min(lo + EVAL_BLOCK, stop)
+            out[lo - start : hi - start] = self._eval_array(np.arange(lo, hi, dtype=np.float64))
+        return out
 
     def _eval_array(self, ns: np.ndarray) -> np.ndarray:
         return np.array([self.eval(int(n)) for n in ns], dtype=np.float64)
@@ -330,9 +338,7 @@ class Recip(ExponentSequence):
 
     def _eval_array(self, ns):
         v = self.inner._eval_array(ns)
-        with np.errstate(divide="ignore"):
-            out = np.where(v == INF, 0.0, np.divide(1.0, v, where=v != 0, out=np.full(v.shape, INF)))
-        return out
+        return np.divide(1.0, v, out=np.full(v.shape, INF), where=v != 0)  # 1/∞ = 0 in IEEE
 
     def to_json(self):
         return {"kind": "recip", "inner": self.inner.to_json()}
@@ -352,14 +358,10 @@ class RnOf(ExponentSequence):
         return 1.0 / inv
 
     def _eval_array(self, ns):
-        pv = self.p._eval_array(ns)
-        qv = self.q._eval_array(ns)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(qv == INF, 0.0, 1.0 / qv) - np.where(pv == INF, 0.0, 1.0 / pv)
-        out = np.full(pv.shape, INF)
-        pos = inv > 0
-        out[pos] = 1.0 / inv[pos]
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):  # 1/0 = ∞; ∞ − ∞ is nan, not > 0
+            inv = 1.0 / self.q._eval_array(ns)
+            inv -= 1.0 / self.p._eval_array(ns)
+            return np.divide(1.0, inv, out=np.full(inv.shape, INF), where=inv > 0)
 
     def to_json(self):
         return {"kind": "rn_of", "p": self.p.to_json(), "q": self.q.to_json()}
@@ -385,14 +387,10 @@ class NakanoExponent(ExponentSequence):
     def _eval_array(self, ns):
         pv = self.p._eval_array(ns)
         qv = self.q._eval_array(ns)
-        out = np.full(pv.shape, INF)
-        both_fin = np.isfinite(pv) & np.isfinite(qv)
-        neq = both_fin & (pv != qv)
-        out[neq] = pv[neq] * qv[neq] / np.abs(pv[neq] - qv[neq])
-        p_inf = ~np.isfinite(pv) & np.isfinite(qv)
-        out[p_inf] = qv[p_inf]
-        q_inf = np.isfinite(pv) & ~np.isfinite(qv)
-        out[q_inf] = pv[q_inf]
+        with np.errstate(invalid="ignore", over="ignore"):  # the nan where one side is ∞ is overwritten below
+            out = np.divide(pv * qv, np.abs(pv - qv), out=np.full(pv.shape, INF), where=pv != qv)
+        np.copyto(out, qv, where=pv == INF)
+        np.copyto(out, pv, where=qv == INF)
         return out
 
     def to_json(self):

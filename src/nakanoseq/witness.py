@@ -24,7 +24,7 @@ INF = math.inf
 
 SCAN_HORIZON = 10**7
 _FIRST_CHUNK = 64
-_CHUNK = 2**14  # chunk cap: small arrays stay in cache
+_CHUNK = E.EVAL_BLOCK  # chunk cap: bounds how far a chunk overshoots the last hit
 _REL_SLACK = 1e-12  # slack for float roundoff in the gap/growth comparisons
 
 

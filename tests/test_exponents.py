@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from nakanoseq import (
     SemanticError,
     Sum,
     Evens,
+    ExponentSequence,
     block_end,
     block_start,
     block_value,
@@ -34,7 +36,7 @@ from nakanoseq import (
     signed_liminf_gap,
 )
 import nakanoseq
-from nakanoseq.exponents import from_json
+from nakanoseq.exponents import EVAL_BLOCK, from_json
 
 from _generators import gen_dsl_ast, gen_exponent
 
@@ -312,3 +314,69 @@ def test_rn_of_zero_operand_closed_form_matches_eval():
     prof = profile(seq)
     assert prof.bounded_above is Answer.YES
     assert (prof.liminf.lo, prof.limsup.hi) == (2.0, 2.0)
+
+
+# -- array combinators and block evaluation ----------------------------------------
+
+_GRID = [0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-10, 2.0, 3.0, 1e200, 1e308, INF]
+
+
+class _Fixed(ExponentSequence):
+    """A stub descriptor: fixed values at n = 1, 2, ..."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.float64)
+
+    def eval(self, n):
+        return float(self.values[n - 1])
+
+    def _eval_array(self, ns):
+        return self.values[ns.astype(np.int64) - 1]
+
+
+def _same_bits(arr, scalars):
+    return [float(x).hex() for x in arr] == [float(x).hex() for x in scalars]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # Sum of 1e308 and 1e308 overflows to ∞
+def test_combinator_arrays_match_scalar_eval_on_extended_grid():
+    # p = q = 0 and p = q = 1e-300 give nan under a naive p·q/|p − q|
+    p = _Fixed([a for a in _GRID for _ in _GRID])
+    q = _Fixed([b for _ in _GRID for b in _GRID])
+    ns = np.arange(1, len(_GRID) ** 2 + 1, dtype=np.float64)
+    for cls in (NakanoExponent, RnOf, AbsDiff, Sum):
+        seq = cls(p, q)
+        assert _same_bits(seq._eval_array(ns), [seq.eval(n) for n in range(1, ns.size + 1)]), cls.__name__
+    recip = Recip(_Fixed(_GRID))
+    assert _same_bits(recip._eval_array(ns[: len(_GRID)]), [recip.eval(n) for n in range(1, len(_GRID) + 1)])
+
+
+def test_eval_range_blocks_match_one_array_call():
+    spans = [(1, EVAL_BLOCK + 1), (1, EVAL_BLOCK + 2), (EVAL_BLOCK - 1, 3 * EVAL_BLOCK + 2)]
+    rng = random.Random(4096)
+    for _ in range(40):
+        seq = gen_dsl_ast(rng, depth=3)
+        for start, stop in spans:
+            whole = seq._eval_array(np.arange(start, stop, dtype=np.float64))
+            assert np.array_equal(seq.eval_range(start, stop), whole), (str(seq), start, stop)
+        for start, stop in ((5, 5), (9, 3)):
+            empty = seq.eval_range(start, stop)
+            assert empty.dtype == np.float64 and empty.size == 0
+    nine = block_start(9)
+    assert nine == 17650829
+    start, stop = nine - EVAL_BLOCK - 3, nine + EVAL_BLOCK + 5
+    vals = BlockRepeat().eval_range(start, stop)
+    assert np.array_equal(vals, BlockRepeat()._eval_array(np.arange(start, stop, dtype=np.float64)))
+    assert vals[nine - start - 1] == 8.0 and vals[nine - start] == 9.0
+
+
+def test_eval_range_memory_is_output_plus_one_block():
+    seq = NakanoExponent(BlockRepeat(), Sum(BlockRepeat(), Recip(RationalDrift(2.0, 1.0, 1.0))))
+    tracemalloc.start()
+    try:
+        vals = seq.eval_range(1, 500_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole-span _eval_array call would build every temporary of the tree at 4 MB (7.25×)
+    assert peak < 1.5 * vals.nbytes

@@ -143,6 +143,24 @@ def test_exists_alpha_probe_matches_partial_sum_bit_for_bit():
     assert v.certificate.partial_sums == tuple((a, partial_sum(a, e, PROBE_HORIZON)) for a in PROBE_ALPHAS)
 
 
+@pytest.mark.parametrize(
+    "exponent, sums",
+    [
+        (
+            NakanoExponent(BlockRepeat(), Sum(BlockRepeat(), Recip(RationalDrift(2.0, 1.0, 1.0)))),
+            ("0x1.06ebab959c304p-4", "0x1.a36e3759b6fc4p-14", "0x1.5798ee2308d04p-27"),
+        ),
+        (RnOf(Linear(2.0, 1.0), BlockRepeat()), ("0x1.e5ba15b36d4e7p+12", "0x1.e442c300a58d6p-3", "0x1.0ecba8f381c4cp-10")),
+    ],
+)
+def test_exists_alpha_probe_sums_pinned(exponent, sums):
+    # the sums' low bits follow the summation order (500 000-term chunks) and
+    # the combinator arithmetic; recorded on x86-64 with numpy 2.4
+    v = exists_alpha(exponent)
+    assert isinstance(v.certificate, NumericProbe) and v.certificate.horizon == 10**6
+    assert v.certificate.partial_sums == tuple(zip(PROBE_ALPHAS, map(float.fromhex, sums)))
+
+
 def test_exists_alpha_symmetry_of_nakano():
     rng = random.Random(4242)
     for _ in range(25):
