@@ -206,10 +206,12 @@ class BlockRepeat(ExponentSequence):
     def _eval_array(self, ns):
         top = int(ns.max()) if ns.size else 1
         cums = _block_cums(until=top)
+        k = bisect.bisect_left(cums, top) + 1  # a_top
+        if k == 1 or ns.min() > cums[k - 2]:  # every index lies in block k
+            return np.full(ns.shape, float(k))
         # only the sums up to the first one >= top matter; later ones can
         # exceed the float64 range once the cache has grown far
-        arr = np.array(cums[: bisect.bisect_left(cums, top) + 1], dtype=np.float64)
-        return np.searchsorted(arr, ns, side="left").astype(np.float64) + 1.0
+        return np.searchsorted(np.array(cums[:k], dtype=np.float64), ns, side="left").astype(np.float64) + 1.0
 
     def to_json(self):
         return {"kind": "block_repeat"}
@@ -270,14 +272,20 @@ class Merge(ExponentSequence):
 
     def _eval_array(self, ns):
         per = self.index_set.periodic()
-        mask = np.isin(np.mod(ns.astype(np.int64), per.modulus), np.array(sorted(per.residues), dtype=np.int64))
+        # toggle on the residues or on their complement, whichever is smaller;
+        # no table with one entry per residue class, as a modulus can be 10^12
+        flip = 2 * len(per.residues) > per.modulus
+        rem = ns.astype(np.int64) % per.modulus
+        mask = np.full(ns.shape, flip)
+        for r in set(range(per.modulus)) - per.residues if flip else per.residues:
+            mask ^= rem == r
         for n in per.plus:
             mask |= ns == n
         for n in per.minus:
             mask &= ns != n
         out = self.off_set._eval_array(ns)
         if mask.any():
-            out[mask] = self.on_set._eval_array(ns)[mask]
+            np.copyto(out, self.on_set._eval_array(ns), where=mask)
         return out
 
     def to_json(self):

@@ -391,6 +391,19 @@ def one_in_lrn(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
 
 _DIRECT_CAP = 50_000_000
 _CHUNK = 500_000
+_ZERO_LOG2 = 1100.0  # α^e < 2^-1100 rounds to +0.0: half the smallest subnormal is 2^-1075
+
+
+def _powers(alpha: float, vals: np.ndarray) -> np.ndarray:
+    """``alpha**vals``, bit for bit, without calling pow on the terms that
+    lie below 2^-1100: they are written as 0.0 in place, so the array keeps
+    its length and a later ``np.sum`` its summation order."""
+    if not 0 < alpha < 1:  # nothing underflows, and the cutoff needs log2(α) < 0
+        return alpha**vals
+    near = vals <= _ZERO_LOG2 / -math.log2(alpha)
+    if near.all():
+        return alpha**vals
+    return np.power(alpha, vals, out=np.zeros_like(vals), where=near)
 
 
 def _direct_partial_sums(alphas, exponent: E.ExponentSequence, horizon: int) -> list[float]:
@@ -406,7 +419,7 @@ def _direct_partial_sums(alphas, exponent: E.ExponentSequence, horizon: int) -> 
         vals = exponent.eval_range(n, stop)
         vals = vals[np.isfinite(vals)]
         for i, alpha in enumerate(alphas):
-            totals[i] += float(np.sum(alpha**vals))
+            totals[i] += float(np.sum(_powers(alpha, vals)))
         n = stop
     return totals
 
@@ -485,9 +498,7 @@ def divergence_horizon(alpha: float, exponent: E.ExponentSequence, threshold: fl
     n = 1
     while n <= _DIRECT_CAP:
         stop = n + _CHUNK
-        vals = exponent.eval_range(n, stop)
-        finite = np.isfinite(vals)
-        sums = np.cumsum(alpha ** np.where(finite, vals, INF))
+        sums = np.cumsum(_powers(alpha, exponent.eval_range(n, stop)))  # α^∞ = 0
         hit = np.nonzero(total + sums >= threshold)[0]
         if hit.size:
             return n + int(hit[0])

@@ -12,8 +12,10 @@ import pytest
 
 from nakanoseq import (
     AbsDiff,
+    All,
     Answer,
     BlockRepeat,
+    Complement,
     Const,
     GapKind,
     Linear,
@@ -28,6 +30,7 @@ from nakanoseq import (
     Sum,
     Evens,
     ExponentSequence,
+    Thinned,
     block_end,
     block_start,
     block_value,
@@ -379,4 +382,60 @@ def test_eval_range_memory_is_output_plus_one_block():
     finally:
         tracemalloc.stop()
     # one whole-span _eval_array call would build every temporary of the tree at 4 MB (7.25×)
+    assert peak < 1.5 * vals.nbytes
+
+
+def _array_matches_scalar(seq, ns):
+    ns = np.array(ns, dtype=np.float64)
+    return _same_bits(seq._eval_array(ns), [seq.eval(int(n)) for n in ns])
+
+
+def test_block_repeat_array_path_matches_scalar_eval():
+    eight = block_start(8)
+    assert eight == 873613
+    rng = random.Random(873613)
+    spans = [
+        [7],  # a single index
+        [1],
+        list(range(eight - 40, eight - 5)),  # inside block 7
+        list(range(eight - 5, eight + 5)),  # across block 8's start
+        [eight - 1, eight],  # the last index of block 7 and the first of block 8
+        [eight, eight - 1, 3, eight + 9, 28, 27, 1, eight],  # unsorted
+        rng.sample(range(1, 2 * eight), 500),
+    ]
+    for ns in spans:
+        assert _array_matches_scalar(BlockRepeat(), ns), ns[:5]
+    assert BlockRepeat()._eval_array(np.array([], dtype=np.float64)).size == 0
+
+
+@pytest.mark.parametrize(
+    "index_set",
+    [
+        All(),
+        Evens(),
+        Odds(),
+        Thinned(stride=3),
+        Thinned(stride=10**12),
+        Thinned(indices=(2, 5)),
+        Complement(Thinned(stride=3)),
+        Complement(Thinned(indices=(2, 5))),
+    ],
+)
+def test_merge_array_path_matches_scalar_eval(index_set):
+    seq = Merge(index_set, Linear(1.0, 0.0), BlockRepeat())
+    rng = random.Random(12)
+    big = [10**12 - 1, 10**12, 10**12 + 1, 3 * 10**12]
+    spans = [[5], [1], list(range(1, 400)), big + [7, 2, 6, 5, 1], rng.sample(range(1, 10**6), 300) + big]
+    for ns in spans:
+        assert _array_matches_scalar(seq, ns), (index_set, ns[:5])
+
+
+def test_merge_mask_memory_is_independent_of_modulus():
+    seq = Merge(Thinned(stride=10**12), Const(2), BlockRepeat())
+    tracemalloc.start()
+    try:
+        vals = seq.eval_range(1, 500_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1.5 * vals.nbytes

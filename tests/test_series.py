@@ -36,7 +36,7 @@ from nakanoseq import (
     partial_sum,
 )
 from nakanoseq._asymptotics import normalize
-from nakanoseq.series import PROBE_ALPHAS, PROBE_HORIZON, decide_branch
+from nakanoseq.series import PROBE_ALPHAS, PROBE_HORIZON, _ZERO_LOG2, _direct_partial_sums, _powers, decide_branch
 
 from _generators import gen_exponent, gen_pair
 
@@ -161,6 +161,61 @@ def test_exists_alpha_probe_sums_pinned(exponent, sums):
     assert v.certificate.partial_sums == tuple(zip(PROBE_ALPHAS, map(float.fromhex, sums)))
 
 
+@pytest.mark.parametrize(
+    "exponent, sums",
+    [
+        # exponent a³ + a: underflows to 0 from block 7 at α = 0.1, block 6 at α = 0.01
+        (
+            NakanoExponent(BlockRepeat(), Sum(BlockRepeat(), Recip(BlockRepeat()))),
+            ("0x1.040001b000000p-2", "0x1.47ae1556c8467p-7", "0x1.a36e2eb1c4330p-14"),
+        ),
+        # 9n² + 3 at even n of block 3 underflows at every α
+        (
+            NakanoExponent(Merge(Evens(), RationalDrift(3.0, 1.0, 2.0), BlockRepeat()), BlockRepeat()),
+            ("0x1.a4b1c18df72ecp+13", "0x1.ab95bb4c47eafp+1", "0x1.e52b6a9e7009ep-16"),
+        ),
+        # block-7 exponents of about 154-161 give subnormal terms at α = 0.01
+        (
+            NakanoExponent(BlockRepeat(), Sum(BlockRepeat(), Recip(RationalDrift(3.0, -0.5, 1.0)))),
+            ("0x1.6b9e7c04625efp-4", "0x1.4b96be9fc0931p-12", "0x1.ad7f29abcaf39p-24"),
+        ),
+    ],
+)
+def test_probe_sums_pinned_where_pow_underflows(exponent, sums):
+    # the probe exists_alpha attaches (the first pair is decided, so it is
+    # called directly); terms written as 0.0 without pow must not move a bit
+    got = _direct_partial_sums(PROBE_ALPHAS, exponent, PROBE_HORIZON)
+    assert [float.hex(x) for x in got] == list(sums)
+
+
+def _alternating_runs(rng, near, far, size):
+    out = []
+    while len(out) < size:
+        for lo, hi in (near, far):
+            out += [rng.uniform(lo, hi)] * rng.randint(1, 5)
+    return out[:size]
+
+
+def test_powers_matches_pow_bit_for_bit():
+    rng = np.random.default_rng(1100)
+    for alpha in (*PROBE_ALPHAS, 0.3, 1e-300, 0.999999):
+        cutoff = _ZERO_LOG2 / -math.log2(alpha)
+        assert alpha**cutoff == 0.0
+        edge = 1074 / -math.log2(alpha)  # where α^e leaves the subnormal range
+        arrays = [
+            rng.uniform(0.0, 2 * cutoff, 4001),
+            rng.uniform(0.0, 0.9 * cutoff, 4001),
+            rng.uniform(1.01 * cutoff, 3 * cutoff, 4001),
+            rng.uniform(0.97 * edge, 1.03 * edge, 4001),
+            np.array(_alternating_runs(random.Random(alpha), (0.0, edge), (cutoff, 2 * cutoff), 4001)),
+            np.array([1.0, INF, 0.5 * edge, INF, 2 * cutoff, edge]),
+        ]
+        for vals in arrays:
+            got, want = _powers(alpha, vals), alpha**vals
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (alpha, vals[:4])
+
+
 def test_exists_alpha_symmetry_of_nakano():
     rng = random.Random(4242)
     for _ in range(25):
@@ -272,6 +327,14 @@ def test_partial_sum_block_fast_path_matches_direct():
     h = divergence_horizon(0.1, BlockRepeat(), 1e3)
     assert h > 10**18  # ~1.9e19 terms needed at alpha = 0.1
     assert partial_sum(0.1, BlockRepeat(), h) >= 1e3
+
+
+def test_divergence_horizon_direct_path_pinned():
+    # 1 + 1/n on the odd indices, ∞ on the even ones: no block closed form,
+    # so the horizon comes from the direct scan; recorded before pow was
+    # skipped past the underflow cutoff
+    e = Merge(Odds(), Const(INF), RationalDrift(1.0, 1.0, 1.0))
+    assert [divergence_horizon(a, e) for a in (0.5, 0.1)] == [4006, 20022]
 
 
 def test_partial_sum_validation():
