@@ -25,7 +25,7 @@ import numpy as np
 
 from . import exponents as E
 from .indexsets import Periodic
-from .verdicts import Answer
+from .verdicts import Answer, Record
 
 INF = math.inf
 
@@ -82,12 +82,6 @@ class PSum:
 
     def eval(self, x: float) -> float:
         return sum(c * x**g for g, c in self.terms)
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.shape)
-        for g, c in self.terms:
-            out += c * xs**g
-        return out
 
     def dominance_onset(self, share: float = 0.5) -> int:
         """Smallest certified N with |tail| <= (1-share)*|lead| for all x >= N.
@@ -273,6 +267,10 @@ def _join_var(a: Optional[str], b: Optional[str]) -> tuple[bool, Optional[str]]:
     return False, None
 
 
+_COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
+_OPERANDS = {cls: tuple(f.name for f in fields(cls)) for cls in _COMBINATORS}
+
+
 def closed_form(core) -> Optional[ClosedForm]:
     """Closed form of a Merge/Prefix-free descriptor, or None when the
     branch mixes n and a_n."""
@@ -289,83 +287,54 @@ def closed_form(core) -> Optional[ClosedForm]:
         return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
     if isinstance(core, E.BlockRepeat):
         return _cf(RForm.from_psum(PSum.make([(1.0, 1.0)])), VAR_A)
-    if isinstance(core, E.Recip):
-        cf = closed_form(core.inner)
-        if cf is None:
-            return None
+    kind = type(core)
+    names = _OPERANDS.get(kind)
+    if names is None:
+        return None  # Merge/Prefix must be normalized away first; unknown types opt out
+    cfs = [closed_form(getattr(core, name)) for name in names]
+    if cfs[0] is None or cfs[-1] is None:  # one operand or two
+        return None
+    if kind is E.Recip:
+        (cf,) = cfs
         if cf.is_inf:
             return _cf(RForm.const(0.0), None, cf.onset)
         if cf.form.is_zero:
             return _cf_inf(cf.onset)
         return _cf(cf.form.recip(), cf.var, cf.onset)
-    if isinstance(core, E.Sum):
-        a, b = closed_form(core.left), closed_form(core.right)
-        if a is None or b is None:
-            return None
-        if a.is_inf or b.is_inf:
-            return _cf_inf(max(a.onset, b.onset))
-        ok, var = _join_var(a.var, b.var)
-        if not ok:
-            return None
-        return _cf(a.form.add(b.form), var, max(a.onset, b.onset))
-    if isinstance(core, E.AbsDiff):
-        a, b = closed_form(core.left), closed_form(core.right)
-        if a is None or b is None:
-            return None
-        if a.is_inf and b.is_inf:
-            return _cf(RForm.const(0.0), None, max(a.onset, b.onset))
-        if a.is_inf or b.is_inf:
-            return _cf_inf(max(a.onset, b.onset))
-        ok, var = _join_var(a.var, b.var)
-        if not ok:
-            return None
-        d = a.form.sub(b.form)
-        if d.is_zero:
-            return _cf(RForm.const(0.0), None, max(a.onset, b.onset))
-        sign, s_onset = d.sign_onset()
-        form = d if sign >= 0 else d.neg()
-        return _cf(form, var, max(a.onset, b.onset, _onset_n(s_onset, var)))
-    if isinstance(core, E.RnOf):
-        a, b = closed_form(core.p), closed_form(core.q)
-        if a is None or b is None:
-            return None
+
+    a, b = cfs
+    base = max(a.onset, b.onset)
+    if kind is E.RnOf:  # 1/r_n = 1/q_n − 1/p_n where positive, with 1/∞ = 0
         if not a.is_inf and a.form.is_zero:  # 1/q - 1/0 < 0, so r_n = ∞ as in eval
-            return _cf_inf(max(a.onset, b.onset))
-        inv_p = RForm.const(0.0) if a.is_inf else a.form.recip()
-        inv_q = RForm.const(0.0) if b.is_inf else b.form.recip()
-        ok, var = _join_var(None if a.is_inf else a.var, None if b.is_inf else b.var)
-        if not ok:
-            return None
-        d = inv_q.sub(inv_p)
-        base = max(a.onset, b.onset)
-        if d.is_zero:
             return _cf_inf(base)
-        sign, s_onset = d.sign_onset()
-        s_onset = _onset_n(s_onset, var)
-        if sign < 0:
-            return _cf_inf(max(base, s_onset))
-        return _cf(d.recip(), var, max(base, s_onset))
-    if isinstance(core, E.NakanoExponent):
-        a, b = closed_form(core.p), closed_form(core.q)
-        if a is None or b is None:
-            return None
-        base = max(a.onset, b.onset)
-        if a.is_inf and b.is_inf:
-            return _cf_inf(base)
-        if a.is_inf:
-            return _cf(b.form, b.var, base)
-        if b.is_inf:
-            return _cf(a.form, a.var, base)
-        ok, var = _join_var(a.var, b.var)
-        if not ok:
-            return None
-        d = a.form.sub(b.form)
-        if d.is_zero:
-            return _cf_inf(base)
-        sign, s_onset = d.sign_onset()
-        absd = d if sign >= 0 else d.neg()
-        return _cf(a.form.mul(b.form).mul(absd.recip()), var, max(base, _onset_n(s_onset, var)))
-    return None  # Merge/Prefix must be normalized away first; unknown types opt out
+        x = RForm.const(0.0) if b.is_inf else b.form.recip()
+        y = RForm.const(0.0) if a.is_inf else a.form.recip()
+    elif a.is_inf and b.is_inf:
+        return _cf(RForm.const(0.0), None, base) if kind is E.AbsDiff else _cf_inf(base)
+    elif a.is_inf or b.is_inf:
+        if kind is E.NakanoExponent:  # the finite side
+            fin = b if a.is_inf else a
+            return _cf(fin.form, fin.var, base)
+        return _cf_inf(base)
+    else:
+        x, y = a.form, b.form
+    ok, var = _join_var(a.var, b.var)
+    if not ok:
+        return None
+    if kind is E.Sum:
+        return _cf(x.add(y), var, base)
+
+    d = x.sub(y)
+    if d.is_zero:
+        return _cf(RForm.const(0.0), None, base) if kind is E.AbsDiff else _cf_inf(base)
+    sign, s_onset = d.sign_onset()
+    onset = max(base, _onset_n(s_onset, var))
+    if kind is E.RnOf:
+        return _cf_inf(onset) if sign < 0 else _cf(d.recip(), var, onset)
+    absd = d if sign >= 0 else d.neg()
+    if kind is E.AbsDiff:
+        return _cf(absd, var, onset)
+    return _cf(x.mul(y).mul(absd.recip()), var, onset)
 
 
 # --------------------------------------------------------------------------
@@ -388,9 +357,6 @@ def _strip(per: Periodic) -> tuple[Periodic, int]:
     if per.plus or per.minus:
         onset = max(per.plus | per.minus) + 1
     return Periodic(per.modulus, per.residues), onset
-
-
-_COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
 
 
 def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple, int]]:
@@ -424,8 +390,8 @@ def normalize(seq) -> list[Branch]:
                     if ps.is_infinite():
                         out.append(Branch(ps, b.core, max(o, p_onset, b.onset)))
             return out
-        if isinstance(s, _COMBINATORS):
-            joint = _refine([rec(getattr(s, f.name)) for f in fields(s)])
+        if type(s) in _OPERANDS:
+            joint = _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]])
             return [Branch(ps, type(s)(*cores), onset) for ps, cores, onset in joint]
         return [Branch(_ALL, s, 1)]
 
@@ -466,23 +432,13 @@ class Bounds:
 
 
 @dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(Record):
     liminf: Bounds
     limsup: Bounds
     bounded_above: Answer
     onset: int
     exact: bool
     sample_range: Optional[tuple[float, float]] = None  # non-certified estimate
-
-    def to_json(self):
-        return {
-            "liminf": self.liminf.to_json(),
-            "limsup": self.limsup.to_json(),
-            "bounded_above": self.bounded_above.value,
-            "onset": self.onset,
-            "exact": self.exact,
-            "sample_range": list(self.sample_range) if self.sample_range else None,
-        }
 
 
 def _recip_bounds(a: Bounds) -> Bounds:
@@ -506,15 +462,19 @@ def _interval_range(core) -> Bounds:
     cf = closed_form(core)
     if cf is not None:
         return Bounds.exactly(cf.limit())
-    if isinstance(core, E.AbsDiff):
-        return _abs_diff_bounds(_interval_range(core.left), _interval_range(core.right))
-    if isinstance(core, E.Sum):
-        a, b = _interval_range(core.left), _interval_range(core.right)
+    kind = type(core)
+    if kind not in _OPERANDS:
+        return Bounds(0.0, INF)
+    ranges = [_interval_range(getattr(core, name)) for name in _OPERANDS[kind]]
+    if kind is E.Recip:
+        return _recip_bounds(ranges[0])
+    a, b = ranges
+    if kind is E.AbsDiff:
+        return _abs_diff_bounds(a, b)
+    if kind is E.Sum:
         return Bounds(a.lo + b.lo, a.hi + b.hi)
-    if isinstance(core, E.Recip):
-        return _recip_bounds(_interval_range(core.inner))
-    if isinstance(core, E.RnOf):
-        inv_p, inv_q = _recip_bounds(_interval_range(core.p)), _recip_bounds(_interval_range(core.q))
+    if kind is E.RnOf:
+        inv_p, inv_q = _recip_bounds(a), _recip_bounds(b)
         d_hi = inv_q.hi - inv_p.lo
         d_lo = inv_q.lo - inv_p.hi
         if d_hi <= 0:
@@ -522,13 +482,10 @@ def _interval_range(core) -> Bounds:
         lo = 1.0 / d_hi
         hi = INF if d_lo <= 0 else 1.0 / d_lo
         return Bounds(min(lo, hi), max(lo, hi))
-    if isinstance(core, E.NakanoExponent):
-        a, b = _interval_range(core.p), _interval_range(core.q)
-        d = _abs_diff_bounds(a, b)
-        lo = 0.0 if d.hi == INF or d.hi == 0.0 else a.lo * b.lo / d.hi
-        hi = INF if d.lo == 0.0 else a.hi * b.hi / d.lo
-        return Bounds(min(lo, hi), max(lo, hi))
-    return Bounds(0.0, INF)
+    d = _abs_diff_bounds(a, b)  # NakanoExponent
+    lo = 0.0 if d.hi == INF or d.hi == 0.0 else a.lo * b.lo / d.hi
+    hi = INF if d.lo == 0.0 else a.hi * b.hi / d.lo
+    return Bounds(min(lo, hi), max(lo, hi))
 
 
 def profile(seq) -> AsymptoticProfile:
@@ -588,19 +545,11 @@ class GapKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GapResult:
+class GapResult(Record):
     kind: GapKind
     epsilon: Optional[float] = None  # certified lower bound when POSITIVE
     onset: Optional[int] = None
     note: str = ""
-
-    def to_json(self):
-        return {
-            "kind": self.kind.value,
-            "epsilon": self.epsilon,
-            "onset": self.onset,
-            "note": self.note,
-        }
 
 
 def _refine_onset(seq, onset: int, predicate, window: int = 100_000) -> int:

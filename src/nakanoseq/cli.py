@@ -23,7 +23,6 @@ from .dsl import parse_expression
 from .errors import (
     HorizonExhausted,
     InternalInconsistency,
-    NakanoError,
     NormComputationError,
     ParseError,
     PreconditionError,

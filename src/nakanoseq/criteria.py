@@ -26,10 +26,10 @@ from .series import decide_branch, exists_alpha, one_in_lrn
 from .verdicts import (
     Answer,
     CANONICAL_BASIS_REMARK,
-    INCLUSION_TEST,
     LINF_COPY,
     NAKANO_LEMMA,
     NOT_APPLICABLE,
+    Record,
     SEPARABILITY_REMARK,
     SS_BOUNDED,
     SS_UNBOUNDED_SOURCE,
@@ -47,39 +47,30 @@ INF = math.inf
 
 
 @dataclass(frozen=True)
-class ProfileEvidence:
+class ProfileEvidence(Record, kind="profile_evidence"):
     """A liminf/limsup enclosure backing a profile-based verdict."""
 
     statement: str
     profile: dict
 
-    def to_json(self):
-        return {"kind": "profile_evidence", "statement": self.statement, "profile": self.profile}
-
     def __str__(self):
         return self.statement
 
 
 @dataclass(frozen=True)
-class GapEvidence:
+class GapEvidence(Record, kind="gap_evidence"):
     """A liminf bound on |p_n - q_n| (or its failure) backing a verdict."""
 
     statement: str
     gap: dict
 
-    def to_json(self):
-        return {"kind": "gap_evidence", "statement": self.statement, "gap": self.gap}
-
     def __str__(self):
         return self.statement
 
 
 @dataclass(frozen=True)
-class Remark:
+class Remark(Record, kind="remark"):
     statement: str
-
-    def to_json(self):
-        return {"kind": "remark", "statement": self.statement}
 
     def __str__(self):
         return self.statement
@@ -95,7 +86,7 @@ def _na() -> Verdict:
 
 
 @dataclass(frozen=True)
-class SpaceProfile:
+class SpaceProfile(Record):
     separable: Verdict
     reflexive: Verdict
     contains_linf_copy: Verdict
@@ -105,13 +96,9 @@ class SpaceProfile:
     _linf_exhausted: Optional[HorizonExhausted] = field(default=None, compare=False, repr=False)
 
     def to_json(self):
-        return {
-            "separable": self.separable.to_json(),
-            "reflexive": self.reflexive.to_json(),
-            "contains_linf_copy": self.contains_linf_copy.to_json(),
-            "profile": self.profile.to_json(),
-            "linf_witness": self.linf_witness.to_json() if self.linf_witness is not None else None,
-        }
+        out = super().to_json()
+        del out["_linf_exhausted"]
+        return out
 
 
 def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile:
@@ -260,7 +247,7 @@ def compactness_suite(
 
 
 @dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Record):
     inclusion_holds: Verdict
     spaces_equal: Verdict
     strictly_singular: Verdict
@@ -271,20 +258,6 @@ class InclusionReport:
     gap: GapResult
     witnesses: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
-
-    def to_json(self):
-        return {
-            "inclusion_holds": self.inclusion_holds.to_json(),
-            "spaces_equal": self.spaces_equal.to_json(),
-            "strictly_singular": self.strictly_singular.to_json(),
-            "weakly_compact": self.weakly_compact.to_json(),
-            "compact": self.compact.to_json(),
-            "l_weakly_compact": self.l_weakly_compact.to_json(),
-            "m_weakly_compact": self.m_weakly_compact.to_json(),
-            "gap": self.gap.to_json(),
-            "witnesses": {k: w.to_json() for k, w in self.witnesses.items()},
-            "notes": list(self.notes),
-        }
 
 
 def _check_invariants(report: InclusionReport, p: E.ExponentSequence, q: E.ExponentSequence) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import exponents as E
 from .errors import ParseError
@@ -32,6 +32,10 @@ from .indexsets import Evens, Odds
 
 INF = math.inf
 MAX_DEPTH = 100
+
+# call forms name(expr, ...): one argument per dataclass field, in field order
+_CALLS = {"absdiff": E.AbsDiff, "rn": E.RnOf, "nakexp": E.NakanoExponent, "recip": E.Recip}
+_CALL_NAMES = {cls: name for name, cls in _CALLS.items()}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -221,21 +225,16 @@ class _Parser:
                 tail = self.parse_expr()
                 self.expect_sym(")")
                 return E.Prefix(tuple(overrides), tail)
-            if name in ("absdiff", "rn", "nakexp"):
+            if name in _CALLS:
+                cls = _CALLS[name]
                 self.advance()
                 self.expect_sym("(")
-                left = self.parse_expr()
-                self.expect_sym(",")
-                right = self.parse_expr()
+                args = [self.parse_expr()]
+                for _ in fields(cls)[1:]:
+                    self.expect_sym(",")
+                    args.append(self.parse_expr())
                 self.expect_sym(")")
-                cls = {"absdiff": E.AbsDiff, "rn": E.RnOf, "nakexp": E.NakanoExponent}[name]
-                return cls(left, right)
-            if name == "recip":
-                self.advance()
-                self.expect_sym("(")
-                inner = self.parse_expr()
-                self.expect_sym(")")
-                return E.Recip(inner)
+                return cls(*args)
             self.error(f"unknown name {name!r}", tok)
         self.error("expected an expression", tok)
 
@@ -318,12 +317,7 @@ def print_expression(seq: E.ExponentSequence) -> str:
     if isinstance(seq, E.Prefix):
         pairs = ", ".join(f"{i}={_fmt(v)}" for i, v in seq.overrides)
         return f"prefix({pairs}; {print_expression(seq.tail)})"
-    if isinstance(seq, E.AbsDiff):
-        return f"absdiff({print_expression(seq.left)}, {print_expression(seq.right)})"
-    if isinstance(seq, E.RnOf):
-        return f"rn({print_expression(seq.p)}, {print_expression(seq.q)})"
-    if isinstance(seq, E.NakanoExponent):
-        return f"nakexp({print_expression(seq.p)}, {print_expression(seq.q)})"
-    if isinstance(seq, E.Recip):
-        return f"recip({print_expression(seq.inner)})"
+    name = _CALL_NAMES.get(type(seq))
+    if name is not None:
+        return f"{name}({', '.join(print_expression(getattr(seq, f.name)) for f in fields(seq))})"
     raise TypeError(f"not a printable descriptor: {seq!r}")

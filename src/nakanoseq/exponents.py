@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import Field, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SemanticError
-from .indexsets import IndexSet, index_set_from_json, index_set_to_json
+from .indexsets import IndexSet, Periodic, index_set_from_json, index_set_to_json
 
 INF = math.inf
 EVAL_BLOCK = 2**14  # indices per _eval_array call in eval_range: a block's temporaries stay in cache
@@ -71,8 +71,18 @@ def block_end(k: int) -> int:
 # --------------------------------------------------------------------------
 
 
+_KINDS: dict[str, type] = {}  # JSON kind -> descriptor class
+
+
 class ExponentSequence:
-    """Immutable descriptor of a sequence n ↦ value in (0, ∞]."""
+    """Immutable descriptor of a sequence n ↦ value in (0, ∞].  Each class names its
+    JSON kind, as ``Const(ExponentSequence, kind="const")``, registered in ``_KINDS``."""
+
+    def __init_subclass__(cls, kind: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.json_kind = kind
+        if kind:
+            _KINDS[kind] = cls
 
     def eval(self, n: int) -> float:
         raise NotImplementedError
@@ -96,7 +106,9 @@ class ExponentSequence:
         return np.array([self.eval(int(n)) for n in ns], dtype=np.float64)
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``{"kind": ..., field: value, ...}`` in field order; ∞ is written "inf"."""
+        names = self.__dataclass_fields__
+        return {"kind": self.json_kind, **{name: _field_json(getattr(self, name)) for name in names}}
 
     def __str__(self):
         from .dsl import print_expression
@@ -104,12 +116,32 @@ class ExponentSequence:
         return print_expression(self)
 
 
-def _num(x: float) -> Union[float, str]:
+def _num(x: float) -> float | str:
     return "inf" if x == INF else x
 
 
 def _denum(x) -> float:
     return INF if x == "inf" else float(x)
+
+
+def _field_json(v):
+    if isinstance(v, ExponentSequence):
+        return v.to_json()
+    if isinstance(v, IndexSet):
+        return index_set_to_json(v)
+    if isinstance(v, tuple):  # Prefix overrides
+        return [_field_json(x) for x in v]
+    return _num(v)
+
+
+def _field_from_json(f: Field, v):
+    if f.type == "ExponentSequence":
+        return from_json(v)
+    if f.type == "IndexSet":
+        return index_set_from_json(v)
+    if isinstance(v, list):  # Prefix overrides
+        return tuple((i, _denum(x)) for i, x in v)
+    return _denum(v)
 
 
 def _recip(v: float) -> float:
@@ -122,7 +154,7 @@ def _recip(v: float) -> float:
 
 
 @dataclass(frozen=True)
-class Const(ExponentSequence):
+class Const(ExponentSequence, kind="const"):
     value: float
 
     def __post_init__(self):
@@ -135,12 +167,9 @@ class Const(ExponentSequence):
     def _eval_array(self, ns):
         return np.full(ns.shape, self.value, dtype=np.float64)
 
-    def to_json(self):
-        return {"kind": "const", "value": _num(self.value)}
-
 
 @dataclass(frozen=True)
-class RationalDrift(ExponentSequence):
+class RationalDrift(ExponentSequence, kind="rational_drift"):
     """n ↦ limit + coeff·n^(−decay), clamped below at 1."""
 
     limit: float
@@ -171,12 +200,9 @@ class RationalDrift(ExponentSequence):
     def is_identically_one(self) -> bool:
         return self.limit == 1.0 and self.coeff < 0
 
-    def to_json(self):
-        return {"kind": "rational_drift", "limit": self.limit, "coeff": self.coeff, "decay": self.decay}
-
 
 @dataclass(frozen=True)
-class Linear(ExponentSequence):
+class Linear(ExponentSequence, kind="linear"):
     slope: float
     intercept: float = 0.0
 
@@ -192,12 +218,9 @@ class Linear(ExponentSequence):
     def _eval_array(self, ns):
         return self.slope * ns + self.intercept
 
-    def to_json(self):
-        return {"kind": "linear", "slope": self.slope, "intercept": self.intercept}
-
 
 @dataclass(frozen=True)
-class BlockRepeat(ExponentSequence):
+class BlockRepeat(ExponentSequence, kind="block_repeat"):
     """The block sequence: value j repeated j^j times, j = 1, 2, 3, ..."""
 
     def eval(self, n):
@@ -213,12 +236,9 @@ class BlockRepeat(ExponentSequence):
         # exceed the float64 range once the cache has grown far
         return np.searchsorted(np.array(cums[:k], dtype=np.float64), ns, side="left").astype(np.float64) + 1.0
 
-    def to_json(self):
-        return {"kind": "block_repeat"}
-
 
 @dataclass(frozen=True)
-class Prefix(ExponentSequence):
+class Prefix(ExponentSequence, kind="prefix"):
     """Finitely many explicit overrides in front of a tail descriptor."""
 
     overrides: tuple[tuple[int, float], ...]
@@ -251,33 +271,33 @@ class Prefix(ExponentSequence):
     def max_override(self) -> int:
         return max(i for i, _ in self.overrides)
 
-    def to_json(self):
-        return {
-            "kind": "prefix",
-            "overrides": [[i, _num(v)] for i, v in self.overrides],
-            "tail": self.tail.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class Merge(ExponentSequence):
+class Merge(ExponentSequence, kind="merge"):
     """on_set where n is in the index set, off_set elsewhere."""
 
     index_set: IndexSet
     on_set: ExponentSequence
     off_set: ExponentSequence
 
-    def eval(self, n):
-        return self.on_set.eval(n) if self.index_set.contains(n) else self.off_set.eval(n)
-
-    def _eval_array(self, ns):
+    @cached_property
+    def _plan(self) -> tuple[Periodic, bool, tuple[int, ...]]:
+        """The periodic form, the mask's start value and the residues to toggle;
+        built once and kept in the instance dict, outside ``==``, ``hash`` and ``repr``."""
         per = self.index_set.periodic()
         # toggle on the residues or on their complement, whichever is smaller;
         # no table with one entry per residue class, as a modulus can be 10^12
         flip = 2 * len(per.residues) > per.modulus
+        return per, flip, tuple(set(range(per.modulus)) - per.residues if flip else per.residues)
+
+    def eval(self, n):
+        return self.on_set.eval(n) if self._plan[0].contains(n) else self.off_set.eval(n)
+
+    def _eval_array(self, ns):
+        per, flip, toggled = self._plan
         rem = ns.astype(np.int64) % per.modulus
         mask = np.full(ns.shape, flip)
-        for r in set(range(per.modulus)) - per.residues if flip else per.residues:
+        for r in toggled:
             mask ^= rem == r
         for n in per.plus:
             mask |= ns == n
@@ -288,17 +308,9 @@ class Merge(ExponentSequence):
             np.copyto(out, self.on_set._eval_array(ns), where=mask)
         return out
 
-    def to_json(self):
-        return {
-            "kind": "merge",
-            "index_set": index_set_to_json(self.index_set),
-            "on_set": self.on_set.to_json(),
-            "off_set": self.off_set.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class AbsDiff(ExponentSequence):
+class AbsDiff(ExponentSequence, kind="abs_diff"):
     left: ExponentSequence
     right: ExponentSequence
 
@@ -316,12 +328,9 @@ class AbsDiff(ExponentSequence):
         out[np.isnan(out)] = 0.0  # inf - inf
         return out
 
-    def to_json(self):
-        return {"kind": "abs_diff", "left": self.left.to_json(), "right": self.right.to_json()}
-
 
 @dataclass(frozen=True)
-class Sum(ExponentSequence):
+class Sum(ExponentSequence, kind="sum"):
     left: ExponentSequence
     right: ExponentSequence
 
@@ -331,12 +340,9 @@ class Sum(ExponentSequence):
     def _eval_array(self, ns):
         return self.left._eval_array(ns) + self.right._eval_array(ns)
 
-    def to_json(self):
-        return {"kind": "sum", "left": self.left.to_json(), "right": self.right.to_json()}
-
 
 @dataclass(frozen=True)
-class Recip(ExponentSequence):
+class Recip(ExponentSequence, kind="recip"):
     """Pointwise reciprocal; maps [1, ∞] onto [0, 1]."""
 
     inner: ExponentSequence
@@ -348,12 +354,9 @@ class Recip(ExponentSequence):
         v = self.inner._eval_array(ns)
         return np.divide(1.0, v, out=np.full(v.shape, INF), where=v != 0)  # 1/∞ = 0 in IEEE
 
-    def to_json(self):
-        return {"kind": "recip", "inner": self.inner.to_json()}
-
 
 @dataclass(frozen=True)
-class RnOf(ExponentSequence):
+class RnOf(ExponentSequence, kind="rn_of"):
     """The complementary exponent r_n with 1/r_n = max(0, 1/q_n − 1/p_n)."""
 
     p: ExponentSequence
@@ -371,12 +374,9 @@ class RnOf(ExponentSequence):
             inv -= 1.0 / self.p._eval_array(ns)
             return np.divide(1.0, inv, out=np.full(inv.shape, INF), where=inv > 0)
 
-    def to_json(self):
-        return {"kind": "rn_of", "p": self.p.to_json(), "q": self.q.to_json()}
-
 
 @dataclass(frozen=True)
-class NakanoExponent(ExponentSequence):
+class NakanoExponent(ExponentSequence, kind="nakano_exponent"):
     """p_n·q_n/|p_n − q_n|; the series exponent in Nakano's Lemma."""
 
     p: ExponentSequence
@@ -401,35 +401,12 @@ class NakanoExponent(ExponentSequence):
         np.copyto(out, pv, where=qv == INF)
         return out
 
-    def to_json(self):
-        return {"kind": "nakano_exponent", "p": self.p.to_json(), "q": self.q.to_json()}
-
 
 def from_json(obj: dict) -> ExponentSequence:
-    kind = obj["kind"]
-    if kind == "const":
-        return Const(_denum(obj["value"]))
-    if kind == "rational_drift":
-        return RationalDrift(obj["limit"], obj["coeff"], obj["decay"])
-    if kind == "linear":
-        return Linear(obj["slope"], obj["intercept"])
-    if kind == "block_repeat":
-        return BlockRepeat()
-    if kind == "prefix":
-        return Prefix(tuple((i, _denum(v)) for i, v in obj["overrides"]), from_json(obj["tail"]))
-    if kind == "merge":
-        return Merge(index_set_from_json(obj["index_set"]), from_json(obj["on_set"]), from_json(obj["off_set"]))
-    if kind == "abs_diff":
-        return AbsDiff(from_json(obj["left"]), from_json(obj["right"]))
-    if kind == "sum":
-        return Sum(from_json(obj["left"]), from_json(obj["right"]))
-    if kind == "recip":
-        return Recip(from_json(obj["inner"]))
-    if kind == "rn_of":
-        return RnOf(from_json(obj["p"]), from_json(obj["q"]))
-    if kind == "nakano_exponent":
-        return NakanoExponent(from_json(obj["p"]), from_json(obj["q"]))
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+    cls = _KINDS.get(obj["kind"])
+    if cls is None:
+        raise ValueError(f"unknown descriptor kind {obj['kind']!r}")
+    return cls(*(_field_from_json(f, obj[f.name]) for f in fields(cls)))
 
 
 __all__ = [

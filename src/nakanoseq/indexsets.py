@@ -8,8 +8,8 @@ which the series layer relies on for block-aggregated partial sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)

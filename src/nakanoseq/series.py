@@ -36,7 +36,7 @@ from ._asymptotics import (
 )
 from .errors import SemanticError
 from .indexsets import Periodic
-from .verdicts import Answer, Verdict, no, unknown, yes
+from .verdicts import Answer, Record, Verdict, no, unknown, yes
 
 INF = math.inf
 
@@ -51,7 +51,7 @@ DIVERGENCE_THRESHOLD = 1e3
 
 
 @dataclass(frozen=True)
-class GeometricComparison:
+class GeometricComparison(Record, kind="geometric_comparison"):
     """term(n) <= scale·ratio^n for n >= onset (per block k when per_block)."""
 
     ratio: float
@@ -60,22 +60,12 @@ class GeometricComparison:
     per_block: bool = False
     statement: str = ""
 
-    def to_json(self):
-        return {
-            "kind": "geometric_comparison",
-            "ratio": self.ratio,
-            "scale": self.scale,
-            "onset": self.onset,
-            "per_block": self.per_block,
-            "statement": self.statement,
-        }
-
     def __str__(self):
         return self.statement or f"terms <= {self.scale:g}·{self.ratio:g}^n from {self.onset}"
 
 
 @dataclass(frozen=True)
-class PSeriesComparison:
+class PSeriesComparison(Record, kind="p_series_comparison"):
     """term(n) <= scale·n^(−power) for n >= onset, power > 1."""
 
     scale: float
@@ -83,21 +73,12 @@ class PSeriesComparison:
     onset: int
     statement: str = ""
 
-    def to_json(self):
-        return {
-            "kind": "p_series_comparison",
-            "scale": self.scale,
-            "power": self.power,
-            "onset": self.onset,
-            "statement": self.statement,
-        }
-
     def __str__(self):
         return self.statement or f"terms <= {self.scale:g}·n^-{self.power:g} from {self.onset}"
 
 
 @dataclass(frozen=True)
-class DivergenceByTerms:
+class DivergenceByTerms(Record, kind="divergence_by_terms"):
     """Terms (or whole blocks) stay >= lower_bound on an infinite family."""
 
     lower_bound: float
@@ -106,35 +87,17 @@ class DivergenceByTerms:
     exponent_cap: Optional[float] = None  # e(n) <= cap on the family, when finite
     statement: str = ""
 
-    def to_json(self):
-        return {
-            "kind": "divergence_by_terms",
-            "lower_bound": self.lower_bound,
-            "onset": self.onset,
-            "per_block": self.per_block,
-            "exponent_cap": self.exponent_cap,
-            "statement": self.statement,
-        }
-
     def __str__(self):
         return self.statement or f"terms >= {self.lower_bound:g} infinitely often from {self.onset}"
 
 
 @dataclass(frozen=True)
-class NumericProbe:
+class NumericProbe(Record, kind="numeric_probe"):
     """Non-certifying partial-sum evidence."""
 
     horizon: int
     partial_sums: tuple[tuple[float, float], ...]  # (alpha, partial sum)
     statement: str = ""
-
-    def to_json(self):
-        return {
-            "kind": "numeric_probe",
-            "horizon": self.horizon,
-            "partial_sums": [list(p) for p in self.partial_sums],
-            "statement": self.statement,
-        }
 
     def __str__(self):
         sums = ", ".join(f"α={a:g}: {s:.6g}" for a, s in self.partial_sums)
@@ -143,36 +106,22 @@ class NumericProbe:
 
 
 @dataclass(frozen=True)
-class BranchCertificates:
+class BranchCertificates(Record, kind="branch_certificates"):
     """One certificate per infinite index-set branch of the series."""
 
     parts: tuple[tuple[dict, object], ...]  # (periodic set as json, certificate)
-
-    def to_json(self):
-        return {
-            "kind": "branch_certificates",
-            "parts": [[pset, cert.to_json()] for pset, cert in self.parts],
-        }
 
     def __str__(self):
         return "; ".join(str(cert) for _, cert in self.parts)
 
 
 @dataclass(frozen=True)
-class AlphaCertificate:
+class AlphaCertificate(Record, kind="alpha_certificate"):
     """Records the α realizing an existential convergence claim."""
 
     alpha: float
     inner: object
     statement: str = ""
-
-    def to_json(self):
-        return {
-            "kind": "alpha_certificate",
-            "alpha": self.alpha,
-            "inner": self.inner.to_json() if hasattr(self.inner, "to_json") else str(self.inner),
-            "statement": self.statement,
-        }
 
     def __str__(self):
         base = f"α = {self.alpha:g}"

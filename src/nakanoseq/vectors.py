@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import NormComputationError, SemanticError
 from .exponents import ExponentSequence
+from .verdicts import Record
 
 INF = math.inf
 
@@ -39,7 +40,7 @@ _EXACT_INDEX_LIMIT = 2**53  # eval_range takes float64 indices, exact below this
 
 
 @dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """Finite-support real sequence; zero entries are not stored."""
 
     entries: tuple[tuple[int, float], ...]  # ascending index
@@ -66,9 +67,6 @@ class SparseVector:
         if not isinstance(obj, list):
             raise SemanticError('a vector is a list of [index, value] pairs, or {"entries": [...]}')
         return SparseVector.from_pairs(obj)
-
-    def to_json(self) -> dict:
-        return {"entries": [[i, v] for i, v in self.entries]}
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -135,7 +133,7 @@ def basis_vector(index: int, value: float = 1.0) -> SparseVector:
 
 
 @dataclass(frozen=True)
-class NormResult:
+class NormResult(Record):
     """A Luxemburg norm with its certificate.
 
     ``bracket`` is the final (lo, hi) with φ(lo) > 1 ≥ φ(hi), up to the
@@ -152,15 +150,6 @@ class NormResult:
     residual: float
     iterations: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "bracket": list(self.bracket),
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def _support_arrays(p: ExponentSequence, x: SparseVector) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Three-valued answers and cited verdicts.
+"""Three-valued answers and cited verdicts, and ``Record``, the JSON writer
+of every certificate, report and result record.
 
 Every Yes/No verdict carries a citation string from the fixed anchor set
 below; the strings are part of the stable JSON output contract.
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Optional
 
 
@@ -48,8 +50,60 @@ SEPARABILITY_REMARK = "§1-remark"
 NOT_APPLICABLE = "inclusion not established"
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None), list})  # written as they are: a list already holds JSON
+
+
+class _Encoders(dict):
+    """Type → the function that writes its values as JSON, chosen on first
+    sight: records (anything with ``to_json``) by their own method, enums by
+    value, tuples as lists, dicts value by value, and other values as they are."""
+
+    def __missing__(self, t):
+        if t is tuple:
+            enc = _json_list
+        elif t is dict:
+            enc = _json_dict
+        elif issubclass(t, enum.Enum):
+            enc = attrgetter("_value_")
+        else:
+            enc = getattr(t, "to_json", None) or (lambda v: v)
+        self[t] = enc
+        return enc
+
+
+_ENCODERS = _Encoders()
+
+
+def _json_list(v) -> list:
+    if _PLAIN.issuperset(map(type, v)):
+        return list(v)
+    return [x if type(x) in _PLAIN else _ENCODERS[type(x)](x) for x in v]
+
+
+def _json_dict(v) -> dict:
+    return {k: x if type(x) in _PLAIN else _ENCODERS[type(x)](x) for k, x in v.items()}
+
+
+class Record:
+    """Base of the dataclass records printed as JSON: ``to_json`` writes the fields in
+    order, after ``"kind"`` when the class names one, as ``Remark(Record, kind="remark")``."""
+
+    def __init_subclass__(cls, kind=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.json_kind = kind
+
+    def to_json(self) -> dict:
+        kind = self.json_kind
+        out = {"kind": kind} if kind else {}
+        values = self.__dict__
+        for name in self.__dataclass_fields__:
+            v = values[name]
+            out[name] = v if type(v) in _PLAIN else _ENCODERS[type(v)](v)
+        return out
+
+
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """A three-valued answer plus the evidence and criterion anchor behind it.
 
     ``certificate`` is ``None`` only for verdicts that need no evidence;
@@ -59,14 +113,6 @@ class Verdict:
     answer: Answer
     certificate: Optional[Any] = None
     citation: str = ""
-
-    def to_json(self) -> dict:
-        cert = self.certificate
-        if cert is not None and hasattr(cert, "to_json"):
-            cert = cert.to_json()
-        elif cert is not None:
-            cert = str(cert)
-        return {"answer": self.answer.value, "certificate": cert, "citation": self.citation}
 
     def __str__(self):
         label = {Answer.YES: "Yes", Answer.NO: "No", Answer.UNKNOWN: "Unknown"}[self.answer]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,6 +82,15 @@ def _scan(eval_range, hit, count: int, horizon: int, what: str) -> list[int]:
     return indices
 
 
+def _half_checks(exponents) -> dict:
+    """The modular Σ (1/2)^e over the finite exponents e, checked against 1."""
+    modular_half = 0.0
+    for e in exponents:
+        if e != INF:
+            modular_half += 0.5**e
+    return {"modular_at_half": modular_half, "modular_bound": 1.0, "within_bound": modular_half <= 1.0 + 1e-9}
+
+
 def equality_witness(
     p: E.ExponentSequence, q: E.ExponentSequence, count: int, horizon: int = SCAN_HORIZON
 ) -> WitnessSubsequence:
@@ -105,13 +114,7 @@ def equality_witness(
         diff.eval_range, lambda d, k: d <= (1.0 / k) * (1.0 + _REL_SLACK), count, horizon, "|p_n - q_n| <= 1/{k}"
     )
     gaps = [diff.eval(n) for n in indices]
-
-    modular_half = 0.0
-    for n in indices:
-        e = nak.eval(n)
-        if e != INF:
-            modular_half += 0.5**e
-    checks = {"modular_at_half": modular_half, "modular_bound": 1.0, "within_bound": modular_half <= 1.0 + 1e-9}
+    checks = _half_checks(nak.eval(n) for n in indices)
     return WitnessSubsequence("equality", tuple(indices), tuple(gaps), checks)
 
 
@@ -130,13 +133,7 @@ def linf_witness(p: E.ExponentSequence, count: int, horizon: int = SCAN_HORIZON)
 
     indices = _scan(p.eval_range, lambda v, k: ~(v < k * (1.0 - _REL_SLACK)), count, horizon, "p_n >= {k}")
     values = [p.eval(n) for n in indices]
-
-    modular_half = 0.0
-    for v in values:
-        if v != INF:
-            modular_half += 0.5**v
-    checks = {"modular_at_half": modular_half, "modular_bound": 1.0, "within_bound": modular_half <= 1.0 + 1e-9}
-    return WitnessSubsequence("linf", tuple(indices), tuple(values), checks)
+    return WitnessSubsequence("linf", tuple(indices), tuple(values), _half_checks(values))
 
 
 # --------------------------------------------------------------------------

@@ -146,3 +146,21 @@ def test_round_trip_generated_asts():
 def test_float_values_round_trip_exactly():
     ast = RationalDrift(1.0, 1.0 / 3.0, 0.1)
     assert parse_expression(print_expression(ast)) == ast
+
+
+@pytest.mark.parametrize(
+    "source, message, pos",
+    [
+        ("recip(2, 3)", "expected ')'", 7),
+        ("rn(2)", "expected ','", 4),
+        ("absdiff(2 3)", "expected ','", 10),
+        ("nakexp(", "expected an expression", 7),
+        ("recip()", "expected an expression", 6),
+        ("rn(2, 3, 4)", "expected ')'", 7),
+    ],
+)
+def test_call_form_errors(source, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_expression(source)
+    assert info.value.pos == pos
+    assert str(info.value) == f"{message} at line 1, column {pos + 1}\n  {source}\n  {' ' * pos}^"

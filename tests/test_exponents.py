@@ -439,3 +439,18 @@ def test_merge_mask_memory_is_independent_of_modulus():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * vals.nbytes
+
+
+def test_merge_normalizes_its_index_set_once(monkeypatch):
+    # a complement's periodic form costs O(modulus); 2^18 terms span 16 blocks
+    calls = []
+    periodic = Complement.periodic
+    monkeypatch.setattr(Complement, "periodic", lambda self: calls.append(self) or periodic(self))
+    seq = Merge(Complement(Thinned(stride=10**5)), Const(2), BlockRepeat())
+    vals = seq.eval_range(1, 2**18 + 1)
+    assert [vals[n - 1] for n in (1, 10**5, 2 * 10**5, 2**18)] == [seq.eval(n) for n in (1, 10**5, 2 * 10**5, 2**18)]
+    assert vals[10**5 - 1] == block_value(10**5) and vals[0] == 2.0
+    assert len(calls) == 1
+    # the cached plan stays outside ==, hash and repr
+    fresh = Merge(Complement(Thinned(stride=10**5)), Const(2), BlockRepeat())
+    assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)

@@ -1,0 +1,139 @@
+"""SHA-256 digests of nakanoseq's outputs on fixed corpora.
+
+    python3 tools/output_digest.py <src-dir> [--dump DIR]
+
+Imports the package from ``<src-dir>`` (e.g. ``src``, or the ``src`` of a
+second checkout) and prints one ``<corpus> <sha256>`` line per corpus.
+Two checkouts whose lines agree print the same bytes on every corpus; with
+``--dump`` each corpus is also written to ``DIR/<corpus>.txt``, so a
+mismatch can be located with ``cmp``.
+
+Corpora:
+
+* ``reports`` — ``full_report(witness_count=0).to_json()`` on the 1000
+  seed-88 ``gen_pair`` draws;
+* ``descriptors`` — ``to_json()`` and ``print_expression`` of those pairs'
+  descriptors and of 300 depth-3 ``gen_dsl_ast`` trees (seed 3);
+* ``witness`` — witness JSON on the seed-2 perfbench witness pool (416 calls);
+* ``norm`` — ``luxemburg_norm(...).to_json()`` on the seed-2 perfbench norm
+  pool (40 calls), and ``to_json()`` of its vectors;
+* ``space`` — ``space_profile(p).to_json()`` for the first 200 seed-88 sources;
+* ``cli`` — stdout and exit code of the README's commands (each with and
+  without ``--json``) and of the Unknown ``compare``, run as subprocesses.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+UNKNOWN_COMPARE = ["compare", "blocks", "blocks + recip(3 + 1/n^2)"]
+
+
+def _reports(N, gens):
+    rng = random.Random(88)
+    pairs = [gens.gen_pair(rng) for _ in range(1000)]
+    lines = [json.dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
+    return lines, pairs
+
+
+def _descriptors(N, gens, pairs):
+    rng = random.Random(3)
+    trees = [gens.gen_dsl_ast(rng, depth=3) for _ in range(300)]
+    seqs = [s for pair in pairs for s in pair] + trees
+    return [f"{json.dumps(s.to_json())}\t{N.print_expression(s)}" for s in seqs]
+
+
+def _witness(N, gen):
+    lines = []
+    for op in gen.witness_pool(2, 26):
+        p = N.parse_expression(op["p"])
+        if op["kind"] == "equality":
+            w = N.equality_witness(p, N.parse_expression(op["q"]), op["count"])
+        else:
+            w = N.linf_witness(p, op["count"])
+        lines.append(json.dumps(w.to_json()))
+    return lines
+
+
+def _norm(N, gen):
+    ops, vectors = gen.norm_pool(2, 2)
+    vecs = {key: N.SparseVector.from_pairs(v) for key, v in vectors.items()}
+    lines = [json.dumps(N.luxemburg_norm(N.parse_expression(op["p"]), vecs[op["vector"]]).to_json()) for op in ops]
+    return lines + [json.dumps(vecs[key].to_json()) for key in sorted(vecs)]
+
+
+def _space(N, pairs):
+    return [json.dumps(N.space_profile(p).to_json()) for p, _ in pairs[:200]]
+
+
+def _cli(src, gen):
+    _, vector = gen.cli_pool(2, 1)
+    readme = [
+        ["norm", "2", "[[1,1],[2,1]]"],
+        ["norm", "prefix(1=1; 2)", gen.VECTOR_ARG],
+        ["space", "blocks"],
+        ["compare", "1 + 1/n", "n"],
+        ["compare", "2", "2 + recip(blocks)"],
+        ["witness", "2", "2 + recip(blocks)", "--count", "5"],
+        ["witness", "blocks", "--linf"],
+        ["probe", "2", "4", "--lengths", "4,64,1024,4096"],
+    ]
+    env = dict(os.environ, PYTHONPATH=src)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        vec_path = os.path.join(tmp, "vector.json")
+        with open(vec_path, "w", encoding="utf-8") as fh:
+            json.dump(vector, fh)
+        for argv in readme + [UNKNOWN_COMPARE]:
+            for extra in ([], ["--json"]):
+                args = [f"@{vec_path}" if a == gen.VECTOR_ARG else a for a in argv] + extra
+                proc = subprocess.run(
+                    [sys.executable, "-m", "nakanoseq.cli", *args], env=env, capture_output=True, text=True
+                )
+                lines.append(f"$ {' '.join(argv + extra)}\nexit {proc.returncode}\n{proc.stdout}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="directory that holds the nakanoseq package")
+    parser.add_argument("--dump", help="also write each corpus to DIR/<corpus>.txt")
+    args = parser.parse_args()
+    src = os.path.abspath(args.src)
+    sys.path[:0] = [src, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
+    import nakanoseq as N
+    import _generators as gens
+    import gen
+
+    if not os.path.abspath(N.__file__).startswith(src + os.sep):
+        sys.exit(f"nakanoseq imported from {N.__file__}, not from {src}")
+    reports, pairs = _reports(N, gens)
+    corpora = {
+        "reports": reports,
+        "descriptors": _descriptors(N, gens, pairs),
+        "witness": _witness(N, gen),
+        "norm": _norm(N, gen),
+        "space": _space(N, pairs),
+        "cli": _cli(src, gen),
+    }
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+    for name, lines in corpora.items():
+        text = "\n".join(lines) + "\n"
+        if args.dump:
+            with open(os.path.join(args.dump, f"{name}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        print(name, hashlib.sha256(text.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
