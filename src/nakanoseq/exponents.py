@@ -135,7 +135,7 @@ def _field_json(v):
 
 
 def _field_from_json(f: Field, v):
-    if f.type == "ExponentSequence":
+    if f.type == "ExponentSequence":  # field annotations are strings in this module
         return from_json(v)
     if f.type == "IndexSet":
         return index_set_from_json(v)
