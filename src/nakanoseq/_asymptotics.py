@@ -83,19 +83,19 @@ class PSum:
     def eval(self, x: float) -> float:
         return sum(c * x**g for g, c in self.terms)
 
-    def dominance_onset(self, share: float = 0.5) -> int:
-        """Smallest certified N with |tail| <= (1-share)*|lead| for all x >= N.
+    def dominance_onset(self) -> int:
+        """Smallest certified N with |tail| <= |lead|/2 for all x >= N.
 
-        Beyond it, |self(x)| is within [share, 2-share] times |c0| x^{g0}.
+        Beyond it, |self(x)| is within [1/2, 3/2] times |c0| x^{g0}.
         """
         if len(self.terms) <= 1:
             return 1
         g0, c0 = self.terms[0]
         g1 = self.terms[1][0]
         rest = sum(abs(c) for g, c in self.terms[1:])
-        # |tail(x)| <= rest * x^{g1} for x >= 1; need rest*x^{g1} <= (1-share)|c0| x^{g0}
+        # |tail(x)| <= rest * x^{g1} for x >= 1; need rest*x^{g1} <= |c0| x^{g0} / 2
         try:
-            x0 = (rest / ((1.0 - share) * abs(c0))) ** (1.0 / (g0 - g1))
+            x0 = (rest / (0.5 * abs(c0))) ** (1.0 / (g0 - g1))
         except OverflowError:
             return ONSET_CAP
         if not math.isfinite(x0):
@@ -430,6 +430,9 @@ class Bounds:
     def to_json(self):
         return [E._num(self.lo), E._num(self.hi)]
 
+    def __str__(self):
+        return f"[{self.lo:g}, {self.hi:g}]"
+
 
 @dataclass(frozen=True)
 class AsymptoticProfile(Record):
@@ -552,11 +555,11 @@ class GapResult(Record):
     note: str = ""
 
 
-def _refine_onset(seq, onset: int, predicate, window: int = 100_000) -> int:
-    """Shrink a certified onset by checking the claim pointwise below it."""
+def _refine_onset(seq, onset: int, predicate) -> int:
+    """Shrink a certified onset by checking the claim at up to 10^5 indices below it."""
     if onset <= 1 or onset > 10**6:
         return onset
-    start = max(1, onset - window)
+    start = max(1, onset - 100_000)
     vals = seq.eval_range(start, onset)
     ok = predicate(vals)
     bad = np.nonzero(~ok)[0]

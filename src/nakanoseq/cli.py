@@ -45,15 +45,15 @@ def _emit_json(obj) -> None:
 
 
 def _verdict_line(name: str, v: Verdict) -> str:
-    answer = v.answer.value.capitalize()
-    parts = [f"{name}: {answer}"]
-    if v.citation:
-        parts.append(v.citation)
-    if v.certificate is not None:
-        parts.append(str(v.certificate))
-    elif v.answer is Answer.UNKNOWN and not v.citation:
-        parts.append("undecided on this descriptor pair")
-    return " — ".join(parts)
+    if v.answer is Answer.UNKNOWN and v.certificate is None and not v.citation:
+        return f"{name}: {v} — undecided on this descriptor pair"
+    return f"{name}: {v}"
+
+
+def _print_verdicts(record) -> None:
+    for name, v in vars(record).items():
+        if isinstance(v, Verdict):
+            print(_verdict_line(name, v))
 
 
 def _load_vector(text: str) -> SparseVector:
@@ -98,9 +98,7 @@ def _cmd_space(args) -> int:
     if args.json:
         _emit_json(prof.to_json())
     else:
-        print(_verdict_line("separable", prof.separable))
-        print(_verdict_line("reflexive", prof.reflexive))
-        print(_verdict_line("contains_linf_copy", prof.contains_linf_copy))
+        _print_verdicts(prof)
         if prof.linf_witness is not None:
             print(prof.linf_witness.to_text())
         if prof._linf_exhausted is not None:
@@ -115,13 +113,7 @@ def _cmd_compare(args) -> int:
     if args.json:
         _emit_json(report.to_json())
         return EXIT_OK
-    print(_verdict_line("inclusion_holds", report.inclusion_holds))
-    print(_verdict_line("spaces_equal", report.spaces_equal))
-    print(_verdict_line("strictly_singular", report.strictly_singular))
-    print(_verdict_line("weakly_compact", report.weakly_compact))
-    print(_verdict_line("compact", report.compact))
-    print(_verdict_line("l_weakly_compact", report.l_weakly_compact))
-    print(_verdict_line("m_weakly_compact", report.m_weakly_compact))
+    _print_verdicts(report)
     gap = report.gap
     eps = f" (epsilon >= {gap.epsilon:g} from n = {gap.onset})" if gap.epsilon is not None else ""
     print(f"gap liminf |p_n - q_n|: {gap.kind.value}{eps}")

@@ -53,9 +53,6 @@ class ProfileEvidence(Record, kind="profile_evidence"):
     statement: str
     profile: dict
 
-    def __str__(self):
-        return self.statement
-
 
 @dataclass(frozen=True)
 class GapEvidence(Record, kind="gap_evidence"):
@@ -64,16 +61,10 @@ class GapEvidence(Record, kind="gap_evidence"):
     statement: str
     gap: dict
 
-    def __str__(self):
-        return self.statement
-
 
 @dataclass(frozen=True)
 class Remark(Record, kind="remark"):
     statement: str
-
-    def __str__(self):
-        return self.statement
 
 
 def _na() -> Verdict:
@@ -105,11 +96,7 @@ def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile
     """Separability, reflexivity, and presence of a sup-norm copy, all read
     off the certified exponent profile."""
     prof = profile(p)
-    ev = ProfileEvidence(
-        f"liminf p_n in [{prof.liminf.lo:g}, {prof.liminf.hi:g}], "
-        f"limsup p_n in [{prof.limsup.lo:g}, {prof.limsup.hi:g}]",
-        prof.to_json(),
-    )
+    ev = ProfileEvidence(f"liminf p_n in {prof.liminf}, limsup p_n in {prof.limsup}", prof.to_json())
 
     if prof.bounded_above is Answer.YES:
         separable = Verdict(Answer.YES, ev, SEPARABILITY_REMARK)
@@ -215,11 +202,7 @@ def weakly_compact(
     if inclusion.answer is not Answer.YES:
         return _na()
     prof_q = profile(q)
-    ev = ProfileEvidence(
-        f"liminf q_n in [{prof_q.liminf.lo:g}, {prof_q.liminf.hi:g}], "
-        f"limsup q_n in [{prof_q.limsup.lo:g}, {prof_q.limsup.hi:g}]",
-        prof_q.to_json(),
-    )
+    ev = ProfileEvidence(f"liminf q_n in {prof_q.liminf}, limsup q_n in {prof_q.limsup}", prof_q.to_json())
     if prof_q.liminf.lo > 1.0 and prof_q.limsup.hi < INF:
         return Verdict(Answer.YES, ev, WEAK_COMPACTNESS)
     if prof_q.liminf.hi <= 1.0 or prof_q.limsup.lo == INF:

@@ -36,6 +36,9 @@ MAX_DEPTH = 100
 # call forms name(expr, ...): one argument per dataclass field, in field order
 _CALLS = {"absdiff": E.AbsDiff, "rn": E.RnOf, "nakexp": E.NakanoExponent, "recip": E.Recip}
 _CALL_NAMES = {cls: name for name, cls in _CALLS.items()}
+# index sets named in merge(set: expr, expr)
+_SETS = {"even": Evens, "odd": Odds}
+_SET_NAMES = {cls: name for name, cls in _SETS.items()}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -195,13 +198,9 @@ class _Parser:
                 self.advance()
                 self.expect_sym("(")
                 set_tok = self.peek()
-                if self._is_ident(set_tok, "even"):
-                    index_set = Evens()
-                elif self._is_ident(set_tok, "odd"):
-                    index_set = Odds()
-                else:
-                    self.error("expected 'even' or 'odd'", set_tok)
-                self.advance()
+                if set_tok.kind != "IDENT" or set_tok.text not in _SETS:
+                    self.error(f"expected {' or '.join(map(repr, _SETS))}", set_tok)
+                index_set = _SETS[self.advance().text]()
                 self.expect_sym(":")
                 on_set = self.parse_expr()
                 self.expect_sym(",")
@@ -307,12 +306,8 @@ def print_expression(seq: E.ExponentSequence) -> str:
     if isinstance(seq, E.Sum):
         return f"{print_expression(seq.left)} + {print_expression(seq.right)}"
     if isinstance(seq, E.Merge):
-        if isinstance(seq.index_set, Evens):
-            name = "even"
-        elif isinstance(seq.index_set, Odds):
-            name = "odd"
-        else:  # not DSL-expressible; printable for diagnostics only
-            name = f"<{seq.index_set!r}>"
+        # other index sets are not DSL-expressible; printable for diagnostics only
+        name = _SET_NAMES.get(type(seq.index_set), f"<{seq.index_set!r}>")
         return f"merge({name}: {print_expression(seq.on_set)}, {print_expression(seq.off_set)})"
     if isinstance(seq, E.Prefix):
         pairs = ", ".join(f"{i}={_fmt(v)}" for i, v in seq.overrides)

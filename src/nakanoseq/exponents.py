@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SemanticError
-from .indexsets import IndexSet, Periodic, index_set_from_json, index_set_to_json
+from .indexsets import IndexSet, Periodic, index_set_from_json
 
 INF = math.inf
 EVAL_BLOCK = 2**14  # indices per _eval_array call in eval_range: a block's temporaries stay in cache
@@ -125,10 +125,8 @@ def _denum(x) -> float:
 
 
 def _field_json(v):
-    if isinstance(v, ExponentSequence):
+    if isinstance(v, (ExponentSequence, IndexSet)):
         return v.to_json()
-    if isinstance(v, IndexSet):
-        return index_set_to_json(v)
     if isinstance(v, tuple):  # Prefix overrides
         return [_field_json(x) for x in v]
     return _num(v)

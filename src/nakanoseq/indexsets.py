@@ -8,7 +8,7 @@ which the series layer relies on for block-aggregated partial sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 
@@ -87,8 +87,17 @@ class Periodic:
         return total
 
 
+_KINDS: dict[str, type] = {}  # JSON kind -> index set class
+
+
 class IndexSet:
-    """Abstract index set; concrete sets normalize through :meth:`periodic`."""
+    """Abstract index set; concrete sets normalize through :meth:`periodic`.  Each
+    class names its JSON kind, as ``Evens(IndexSet, kind="evens")``."""
+
+    def __init_subclass__(cls, kind: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.json_kind = kind
+        _KINDS[kind] = cls
 
     def periodic(self) -> Periodic:
         raise NotImplementedError
@@ -102,27 +111,36 @@ class IndexSet:
     def first(self, count: int) -> list[int]:
         return self.periodic().first(count)
 
+    def to_json(self) -> dict:
+        """``{"kind": ...}``, then each field whose value differs from its default."""
+        out = {"kind": self.json_kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v != f.default:
+                out[f.name] = v.to_json() if isinstance(v, IndexSet) else list(v) if isinstance(v, tuple) else v
+        return out
+
 
 @dataclass(frozen=True)
-class All(IndexSet):
+class All(IndexSet, kind="all"):
     def periodic(self) -> Periodic:
         return Periodic(1, frozenset({0}))
 
 
 @dataclass(frozen=True)
-class Evens(IndexSet):
+class Evens(IndexSet, kind="evens"):
     def periodic(self) -> Periodic:
         return Periodic(2, frozenset({0}))
 
 
 @dataclass(frozen=True)
-class Odds(IndexSet):
+class Odds(IndexSet, kind="odds"):
     def periodic(self) -> Periodic:
         return Periodic(2, frozenset({1}))
 
 
 @dataclass(frozen=True)
-class Thinned(IndexSet):
+class Thinned(IndexSet, kind="thinned"):
     """Either every ``stride``-th index, or an explicit finite index list."""
 
     stride: int | None = None
@@ -142,7 +160,7 @@ class Thinned(IndexSet):
 
 
 @dataclass(frozen=True)
-class Complement(IndexSet):
+class Complement(IndexSet, kind="complement"):
     inner: IndexSet
 
     def periodic(self) -> Periodic:
@@ -156,34 +174,12 @@ def complement(s: IndexSet) -> IndexSet:
     return Complement(s)
 
 
-def index_set_to_json(s: IndexSet) -> dict:
-    if isinstance(s, All):
-        return {"kind": "all"}
-    if isinstance(s, Evens):
-        return {"kind": "evens"}
-    if isinstance(s, Odds):
-        return {"kind": "odds"}
-    if isinstance(s, Thinned):
-        if s.stride is not None:
-            return {"kind": "thinned", "stride": s.stride}
-        return {"kind": "thinned", "indices": list(s.indices)}
-    if isinstance(s, Complement):
-        return {"kind": "complement", "inner": index_set_to_json(s.inner)}
-    raise TypeError(f"not an IndexSet: {s!r}")
-
-
 def index_set_from_json(obj: dict) -> IndexSet:
+    """Inverse of :meth:`IndexSet.to_json`; a complement goes through :func:`complement`."""
     kind = obj["kind"]
-    if kind == "all":
-        return All()
-    if kind == "evens":
-        return Evens()
-    if kind == "odds":
-        return Odds()
-    if kind == "thinned":
-        if "stride" in obj:
-            return Thinned(stride=obj["stride"])
-        return Thinned(indices=tuple(obj["indices"]))
     if kind == "complement":
         return complement(index_set_from_json(obj["inner"]))
-    raise ValueError(f"unknown index set kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown index set kind {kind!r}")
+    cls = _KINDS[kind]
+    return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})

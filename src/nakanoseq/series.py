@@ -36,7 +36,7 @@ from ._asymptotics import (
 )
 from .errors import SemanticError
 from .indexsets import Periodic
-from .verdicts import Answer, Record, Verdict, no, unknown, yes
+from .verdicts import Answer, Record, Verdict
 
 INF = math.inf
 
@@ -60,9 +60,6 @@ class GeometricComparison(Record, kind="geometric_comparison"):
     per_block: bool = False
     statement: str = ""
 
-    def __str__(self):
-        return self.statement or f"terms <= {self.scale:g}·{self.ratio:g}^n from {self.onset}"
-
 
 @dataclass(frozen=True)
 class PSeriesComparison(Record, kind="p_series_comparison"):
@@ -72,9 +69,6 @@ class PSeriesComparison(Record, kind="p_series_comparison"):
     power: float
     onset: int
     statement: str = ""
-
-    def __str__(self):
-        return self.statement or f"terms <= {self.scale:g}·n^-{self.power:g} from {self.onset}"
 
 
 @dataclass(frozen=True)
@@ -86,9 +80,6 @@ class DivergenceByTerms(Record, kind="divergence_by_terms"):
     per_block: bool = False
     exponent_cap: Optional[float] = None  # e(n) <= cap on the family, when finite
     statement: str = ""
-
-    def __str__(self):
-        return self.statement or f"terms >= {self.lower_bound:g} infinitely often from {self.onset}"
 
 
 @dataclass(frozen=True)
@@ -285,12 +276,12 @@ def _combine(exponent: E.ExponentSequence, alpha: Optional[float], probe) -> Ver
     parts = [(b.pset, *decide_branch(b, alpha)) for b in normalize(exponent)]
     for _, ans, cert in parts:
         if ans is Answer.NO:
-            return no(cert)
+            return Verdict(Answer.NO, cert)
     if parts and all(ans is Answer.YES for _, ans, _ in parts):
         if len(parts) == 1:
-            return yes(parts[0][2])
-        return yes(BranchCertificates(tuple((_pset_json(p), c) for p, _, c in parts)))
-    return unknown(probe())
+            return Verdict(Answer.YES, parts[0][2])
+        return Verdict(Answer.YES, BranchCertificates(tuple((_pset_json(p), c) for p, _, c in parts)))
+    return Verdict(Answer.UNKNOWN, probe())
 
 
 def decide_convergence(alpha: float, exponent: E.ExponentSequence) -> Verdict:
@@ -301,9 +292,8 @@ def decide_convergence(alpha: float, exponent: E.ExponentSequence) -> Verdict:
     if not (alpha > 0):
         raise SemanticError(f"series base must be positive, got {alpha}")
     if alpha >= 1.0:
-        return no(
-            DivergenceByTerms(1.0, 1, statement=f"α = {alpha:g} >= 1: terms never fall below 1"),
-        )
+        cert = DivergenceByTerms(1.0, 1, statement=f"α = {alpha:g} >= 1: terms never fall below 1")
+        return Verdict(Answer.NO, cert)
 
     def probe():
         s = partial_sum(alpha, exponent, PROBE_HORIZON)
@@ -321,7 +311,7 @@ def exists_alpha(exponent: E.ExponentSequence) -> Verdict:
 
     verdict = _combine(exponent, None, probe)
     if verdict.answer is Answer.YES:
-        return yes(AlphaCertificate(0.5, verdict.certificate))
+        return Verdict(Answer.YES, AlphaCertificate(0.5, verdict.certificate))
     return verdict
 
 

@@ -86,7 +86,8 @@ def _json_dict(v) -> dict:
 
 class Record:
     """Base of the dataclass records printed as JSON: ``to_json`` writes the fields in
-    order, after ``"kind"`` when the class names one, as ``Remark(Record, kind="remark")``."""
+    order, after ``"kind"`` when the class names one, as ``Remark(Record, kind="remark")``.
+    ``str()`` is the record's ``statement`` when it has a non-empty one, else its repr."""
 
     def __init_subclass__(cls, kind=None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -100,6 +101,9 @@ class Record:
             v = values[name]
             out[name] = v if type(v) in _PLAIN else _ENCODERS[type(v)](v)
         return out
+
+    def __str__(self):
+        return getattr(self, "statement", "") or repr(self)
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,3 @@ class Verdict(Record):
         if self.certificate is not None:
             parts.append(str(self.certificate))
         return " — ".join(parts)
-
-
-def yes(certificate=None, citation="") -> Verdict:
-    return Verdict(Answer.YES, certificate, citation)
-
-
-def no(certificate=None, citation="") -> Verdict:
-    return Verdict(Answer.NO, certificate, citation)
-
-
-def unknown(certificate=None, citation="") -> Verdict:
-    return Verdict(Answer.UNKNOWN, certificate, citation)

@@ -16,7 +16,7 @@ import numpy as np
 from . import exponents as E
 from ._asymptotics import GapKind, liminf_abs_gap, profile
 from .errors import HorizonExhausted, NormComputationError, PreconditionError
-from .indexsets import IndexSet, index_set_to_json
+from .indexsets import IndexSet
 from .vectors import SparseVector, luxemburg_norm
 from .verdicts import Answer
 
@@ -150,7 +150,7 @@ class RatioProfile:
 
     def to_json(self):
         return {
-            "index_set": index_set_to_json(self.index_set),
+            "index_set": self.index_set.to_json(),
             "rows": [
                 {"length": n, "norm_p": np_, "norm_q": nq, "ratio": r} for n, np_, nq, r in self.rows
             ],

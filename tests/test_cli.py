@@ -9,6 +9,7 @@ import pytest
 from nakanoseq import cli
 from nakanoseq.dsl import MAX_DEPTH
 from nakanoseq.errors import InternalInconsistency
+from nakanoseq.verdicts import NOT_APPLICABLE, Answer, Verdict
 
 
 def run(capsys, *argv):
@@ -127,6 +128,13 @@ def test_compare_unknown_shows_probe_sums(capsys):
     assert line.startswith("spaces_equal: Unknown — ")
     assert line.count(" — ") == 1
     assert "partial sums to 1000000: α=0.5: " in line
+
+
+def test_verdict_line_marks_a_bare_unknown():
+    # no report verdict is a bare Unknown today, so the corpora never print this tail
+    assert cli._verdict_line("x", Verdict(Answer.UNKNOWN)) == "x: Unknown — undecided on this descriptor pair"
+    assert cli._verdict_line("x", Verdict(Answer.UNKNOWN, None, NOT_APPLICABLE)) == "x: Unknown — inclusion not established"
+    assert cli._verdict_line("x", Verdict(Answer.YES)) == "x: Yes"
 
 
 def test_probe_flat_ratio_closed_form(capsys):

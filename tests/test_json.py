@@ -1,12 +1,15 @@
-"""JSON output pinned byte for byte.
+"""JSON output and verdict text pinned byte for byte.
 
 ``golden_json.txt`` holds one ``name<TAB>json.dumps(...)`` line per case,
-recorded from the per-class ``to_json`` methods that ``Record.to_json`` and
-``ExponentSequence.to_json`` replaced.  Between them the four reports use
-every certificate kind.
+recorded from the per-class ``to_json`` methods that ``Record.to_json``,
+``ExponentSequence.to_json`` and ``IndexSet.to_json`` replaced, and one
+``name<TAB>str(verdict)`` line per verdict of the four reports, recorded from
+the per-class ``__str__`` methods that ``Record.__str__`` replaced.  Between
+them the four reports use every certificate kind.
 """
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -16,9 +19,12 @@ from nakanoseq import (
     BlockRepeat,
     Complement,
     Const,
+    Evens,
+    GeometricComparison,
     Linear,
     Merge,
     NakanoExponent,
+    Odds,
     Prefix,
     RationalDrift,
     Recip,
@@ -31,6 +37,7 @@ from nakanoseq import (
 )
 from nakanoseq._asymptotics import GapKind, GapResult
 from nakanoseq.exponents import from_json
+from nakanoseq.indexsets import All, index_set_from_json
 from nakanoseq.vectors import NormResult
 
 INF = math.inf
@@ -47,12 +54,31 @@ DESCRIPTOR = Merge(
     NakanoExponent(AbsDiff(Linear(2.0, 1.0), Const(INF)), RnOf(Const(3.0), Linear(1.0, 0.0))),
 )
 
+INDEX_SETS = {
+    "all": All(),
+    "evens": Evens(),
+    "odds": Odds(),
+    "thinned stride": Thinned(stride=3),
+    "thinned indices": Thinned(indices=(9, 2, 5)),
+    "complement": Complement(Thinned(stride=4)),
+}
+
 REPORT_PAIRS = [
     ("1 + 1/n", "n"),
     ("2", "2 + 1/n^0.5"),
     ("merge(even: 2, 3)", "3"),
     ("blocks", "blocks + recip(3 + 1/n^2)"),
 ]
+
+VERDICTS = (
+    "inclusion_holds",
+    "spaces_equal",
+    "strictly_singular",
+    "weakly_compact",
+    "compact",
+    "l_weakly_compact",
+    "m_weakly_compact",
+)
 
 
 def without_partial_sums(obj):
@@ -69,10 +95,43 @@ def test_descriptor_json_is_pinned():
     assert from_json(json.loads(GOLDEN["descriptor"])) == DESCRIPTOR
 
 
+@pytest.mark.parametrize("name", INDEX_SETS)
+def test_index_set_json_is_pinned(name):
+    s = INDEX_SETS[name]
+    assert json.dumps(s.to_json()) == GOLDEN[f"index_set {name}"]
+    assert s.to_json() == json.loads(GOLDEN[f"index_set {name}"])  # lists, not tuples
+    assert index_set_from_json(s.to_json()) == s
+
+
+def test_index_set_json_collapses_a_double_complement():
+    obj = {"kind": "complement", "inner": {"kind": "complement", "inner": {"kind": "odds"}}}
+    assert index_set_from_json(obj) == Odds()
+
+
+def test_malformed_index_set_json_raises_value_error():
+    with pytest.raises(ValueError, match="needs a stride or an explicit index list"):
+        index_set_from_json({"kind": "thinned"})
+    with pytest.raises(ValueError, match="unknown index set kind 'primes'"):
+        index_set_from_json({"kind": "primes"})
+
+
 @pytest.mark.parametrize("p, q", REPORT_PAIRS)
 def test_report_json_is_pinned(p, q):
     js = full_report(parse_expression(p), parse_expression(q)).to_json()
     assert json.dumps(without_partial_sums(js)) == GOLDEN[f"report {p} | {q}"]
+
+
+@pytest.mark.parametrize("p, q", REPORT_PAIRS)
+def test_verdict_text_is_pinned(p, q):
+    report = full_report(parse_expression(p), parse_expression(q))
+    for name in VERDICTS:
+        text = re.sub(r"(α=[^:]+: )[^,;]+", r"\1_", str(getattr(report, name)))  # blank probe sums
+        assert text == GOLDEN[f"text {p} | {q} {name}"]
+
+
+def test_certificate_without_statement_prints_its_repr():
+    cert = GeometricComparison(0.5, 1.0, 3)
+    assert str(cert) == repr(cert)
 
 
 def test_report_pins_cover_every_certificate_kind():

@@ -19,7 +19,9 @@ Corpora:
   pool (40 calls), and ``to_json()`` of its vectors;
 * ``space`` — ``space_profile(p).to_json()`` for the first 200 seed-88 sources;
 * ``cli`` — stdout and exit code of the README's commands (each with and
-  without ``--json``) and of the Unknown ``compare``, run as subprocesses.
+  without ``--json``) and of the Unknown ``compare``, run as subprocesses;
+* ``text`` — ``cli._verdict_line`` for the seven verdicts of each of the 1000
+  seed-88 reports and the three verdicts of each of the 200 space profiles.
 """
 from __future__ import annotations
 
@@ -35,13 +37,23 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 UNKNOWN_COMPARE = ["compare", "blocks", "blocks + recip(3 + 1/n^2)"]
+REPORT_VERDICTS = (
+    "inclusion_holds",
+    "spaces_equal",
+    "strictly_singular",
+    "weakly_compact",
+    "compact",
+    "l_weakly_compact",
+    "m_weakly_compact",
+)
+SPACE_VERDICTS = ("separable", "reflexive", "contains_linf_copy")
 
 
 def _reports(N, gens):
     rng = random.Random(88)
     pairs = [gens.gen_pair(rng) for _ in range(1000)]
-    lines = [json.dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
-    return lines, pairs
+    reports = [N.full_report(p, q, witness_count=0) for p, q in pairs]
+    return [json.dumps(r.to_json()) for r in reports], pairs, reports
 
 
 def _descriptors(N, gens, pairs):
@@ -70,8 +82,11 @@ def _norm(N, gen):
     return lines + [json.dumps(vecs[key].to_json()) for key in sorted(vecs)]
 
 
-def _space(N, pairs):
-    return [json.dumps(N.space_profile(p).to_json()) for p, _ in pairs[:200]]
+def _text(reports, profiles):
+    from nakanoseq.cli import _verdict_line
+
+    lines = [_verdict_line(name, getattr(r, name)) for r in reports for name in REPORT_VERDICTS]
+    return lines + [_verdict_line(name, getattr(s, name)) for s in profiles for name in SPACE_VERDICTS]
 
 
 def _cli(src, gen):
@@ -115,14 +130,16 @@ def main() -> int:
 
     if not os.path.abspath(N.__file__).startswith(src + os.sep):
         sys.exit(f"nakanoseq imported from {N.__file__}, not from {src}")
-    reports, pairs = _reports(N, gens)
+    reports, pairs, report_objs = _reports(N, gens)
+    profiles = [N.space_profile(p) for p, _ in pairs[:200]]
     corpora = {
         "reports": reports,
         "descriptors": _descriptors(N, gens, pairs),
         "witness": _witness(N, gen),
         "norm": _norm(N, gen),
-        "space": _space(N, pairs),
+        "space": [json.dumps(s.to_json()) for s in profiles],
         "cli": _cli(src, gen),
+        "text": _text(report_objs, profiles),
     }
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
