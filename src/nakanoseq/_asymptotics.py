@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,9 +77,6 @@ class PSum:
 
     def mul(self, other: "PSum") -> "PSum":
         return PSum.make([(g1 + g2, c1 * c2) for g1, c1 in self.terms for g2, c2 in other.terms])
-
-    def scale(self, s: float) -> "PSum":
-        return PSum.make([(g, c * s) for g, c in self.terms])
 
     def eval(self, x: float) -> float:
         return sum(c * x**g for g, c in self.terms)
@@ -287,11 +285,14 @@ def closed_form(core) -> Optional[ClosedForm]:
         return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
     if isinstance(core, E.BlockRepeat):
         return _cf(RForm.from_psum(PSum.make([(1.0, 1.0)])), VAR_A)
-    kind = type(core)
-    names = _OPERANDS.get(kind)
+    names = _OPERANDS.get(type(core))
     if names is None:
         return None  # Merge/Prefix must be normalized away first; unknown types opt out
-    cfs = [closed_form(getattr(core, name)) for name in names]
+    return _combine_forms(type(core), [closed_form(getattr(core, name)) for name in names])
+
+
+def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
+    """Closed form of a ``kind`` combinator whose operands have the closed forms ``cfs``."""
     if cfs[0] is None or cfs[-1] is None:  # one operand or two
         return None
     if kind is E.Recip:
@@ -346,7 +347,8 @@ def closed_form(core) -> Optional[ClosedForm]:
 class Branch:
     pset: Periodic  # pure periodic set, exceptions folded into onset
     core: object  # Merge/Prefix-free ExponentSequence
-    onset: int = 1
+    onset: int
+    form: Optional[ClosedForm] = field(compare=False, repr=False)  # closed_form(core)
 
 
 _ALL = Periodic(1, frozenset({0}))
@@ -359,19 +361,28 @@ def _strip(per: Periodic) -> tuple[Periodic, int]:
     return Periodic(per.modulus, per.residues), onset
 
 
-def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple, int]]:
-    """Joint refinement of the operands' branches: (pset, cores, onset) for
-    each infinite intersection, with one core per operand in order."""
-    joint = [(b.pset, (b.core,), b.onset) for b in operands[0]]
+def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, ...], int]]:
+    """Joint refinement of the operands' branches: (pset, parts, onset) for
+    each infinite intersection, with one branch per operand in order."""
+    joint = [(b.pset, (b,), b.onset) for b in operands[0]]
     for branches in operands[1:]:
         refined = []
-        for pset, cores, onset in joint:
+        for pset, parts, onset in joint:
             for b in branches:
                 ps, o = _strip(pset.intersect(b.pset))
                 if ps.is_infinite():
-                    refined.append((ps, cores + (b.core,), max(o, onset, b.onset)))
+                    refined.append((ps, parts + (b,), max(o, onset, b.onset)))
         joint = refined
     return joint
+
+
+def _joint(kind, rows) -> list[Branch]:
+    """The branches of a ``kind`` combinator over the refined ``rows`` of its
+    operands; each closed form is combined from the operand branches' forms."""
+    return [
+        Branch(ps, kind(*[b.core for b in parts]), onset, _combine_forms(kind, [b.form for b in parts]))
+        for ps, parts, onset in rows
+    ]
 
 
 def normalize(seq) -> list[Branch]:
@@ -380,7 +391,7 @@ def normalize(seq) -> list[Branch]:
     def rec(s) -> list[Branch]:
         if isinstance(s, E.Prefix):
             bump = s.max_override() + 1
-            return [Branch(b.pset, b.core, max(b.onset, bump)) for b in rec(s.tail)]
+            return [Branch(b.pset, b.core, max(b.onset, bump), b.form) for b in rec(s.tail)]
         if isinstance(s, E.Merge):
             per, p_onset = _strip(s.index_set.periodic())
             out = []
@@ -388,19 +399,13 @@ def normalize(seq) -> list[Branch]:
                 for b in rec(sub):
                     ps, o = _strip(part.intersect(b.pset))
                     if ps.is_infinite():
-                        out.append(Branch(ps, b.core, max(o, p_onset, b.onset)))
+                        out.append(Branch(ps, b.core, max(o, p_onset, b.onset), b.form))
             return out
         if type(s) in _OPERANDS:
-            joint = _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]])
-            return [Branch(ps, type(s)(*cores), onset) for ps, cores, onset in joint]
-        return [Branch(_ALL, s, 1)]
+            return _joint(type(s), _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]]))
+        return [Branch(_ALL, s, 1, closed_form(s))]
 
     return [b for b in rec(seq) if b.pset.is_infinite()]
-
-
-def pair_branches(p, q) -> list[tuple[Periodic, object, object, int]]:
-    """Common refinement of the branch decompositions of two descriptors."""
-    return [(ps, pc, qc, onset) for ps, (pc, qc), onset in _refine([normalize(p), normalize(q)])]
 
 
 # --------------------------------------------------------------------------
@@ -491,53 +496,48 @@ def _interval_range(core) -> Bounds:
     return Bounds(min(lo, hi), max(lo, hi))
 
 
+class Analysis:
+    """One descriptor's branches, each with its closed form; its profile is computed on first use."""
+
+    def __init__(self, seq):
+        self.seq, self.branches = seq, normalize(seq)
+
+    @cached_property
+    def profile(self) -> AsymptoticProfile:
+        lims, onset = [], 1
+        for b in self.branches:
+            cf = b.form
+            if cf is None:
+                lim, b_onset = _interval_range(b.core), b.onset
+            else:
+                val = cf.limit()
+                lim, b_onset = Bounds.exactly(val), max(b.onset, cf.onset)
+                if val != INF and val != -INF:
+                    b_onset = max(b_onset, _onset_n(cf.form.abs_decay_onset(val, PROFILE_TOL), cf.var))
+            lims.append(lim)
+            onset = max(onset, b_onset)
+
+        lo, hi = [x.lo for x in lims], [x.hi for x in lims]
+        liminf = Bounds(min(lo, default=INF), min(hi, default=INF))
+        limsup = Bounds(max(lo, default=-INF), max(hi, default=-INF))
+        bounded = Answer.YES if limsup.hi < INF else Answer.NO if limsup.lo == INF else Answer.UNKNOWN
+        exact = all(b.form is not None for b in self.branches)
+        sample = None
+        if not exact:
+            vals = self.seq.eval_range(1, SAMPLE_HORIZON + 1)
+            finite = vals[np.isfinite(vals)]
+            if finite.size:
+                sample = (float(finite.min()), float(finite.max()))
+        return AsymptoticProfile(liminf, limsup, bounded, onset, exact, sample)
+
+
 def profile(seq) -> AsymptoticProfile:
     """Certified liminf/limsup enclosures; exact on unmixed branches."""
-    liminf_lo = liminf_hi = INF
-    limsup_lo = limsup_hi = -INF
-    exact = True
-    onset = 1
-    any_unknown = False
-
-    for b in normalize(seq):
-        cf = closed_form(b.core)
-        if cf is not None:
-            val = cf.limit()
-            b_onset = max(b.onset, cf.onset)
-            if val != INF and val != -INF and not cf.is_inf:
-                b_onset = max(b_onset, _onset_n(cf.form.abs_decay_onset(val, PROFILE_TOL), cf.var))
-            lim = Bounds.exactly(val)
-        else:
-            lim = _interval_range(b.core)
-            exact = False
-            any_unknown = True
-            b_onset = b.onset
-        liminf_lo = min(liminf_lo, lim.lo)
-        liminf_hi = min(liminf_hi, lim.hi)
-        limsup_lo = max(limsup_lo, lim.lo)
-        limsup_hi = max(limsup_hi, lim.hi)
-        onset = max(onset, b_onset)
-
-    liminf = Bounds(liminf_lo, liminf_hi)
-    limsup = Bounds(limsup_lo, limsup_hi)
-    if limsup.hi < INF:
-        bounded = Answer.YES
-    elif limsup.lo == INF:
-        bounded = Answer.NO
-    else:
-        bounded = Answer.UNKNOWN
-
-    sample = None
-    if any_unknown:
-        vals = seq.eval_range(1, SAMPLE_HORIZON + 1)
-        finite = vals[np.isfinite(vals)]
-        if finite.size:
-            sample = (float(finite.min()), float(finite.max()))
-    return AsymptoticProfile(liminf, limsup, bounded, onset, exact, sample)
+    return Analysis(seq).profile
 
 
 # --------------------------------------------------------------------------
-# liminf of |p_n - q_n| and of the signed difference
+# liminf of |p_n - q_n| and of the signed difference; the analysis of a pair
 # --------------------------------------------------------------------------
 
 
@@ -570,50 +570,6 @@ def _refine_onset(seq, onset: int, predicate) -> int:
     return start  # window exhausted; keep the certified bound reached
 
 
-def _margin(form: RForm, limit: float) -> tuple[float, int]:
-    """(ε, onset) with form(x) >= ε > 0 for x >= onset, given a positive
-    limit: ε = 1/2 for an infinite limit, the limit itself for a constant
-    form, half the limit otherwise.  The onset is in the form's variable."""
-    eps = 0.5 if limit == INF else (limit if form.is_const(limit) else limit / 2.0)
-    _, onset = form.sub_scalar(eps).sign_onset()
-    return eps, onset
-
-
-def _gap_of_cf(cf: ClosedForm, branch_onset: int) -> GapResult:
-    if cf.is_inf:
-        return GapResult(GapKind.POSITIVE, 1.0, max(branch_onset, cf.onset), "gap is infinite")
-    limit = cf.limit()
-    if limit == 0.0:
-        return GapResult(GapKind.ZERO, onset=max(branch_onset, cf.onset), note="|p_n - q_n| -> 0")
-    eps, s_onset = _margin(cf.form, limit)
-    if eps == limit:  # a constant gap holds wherever the branch's closed form does
-        return GapResult(GapKind.POSITIVE, eps, max(branch_onset, cf.onset), "gap is constant")
-    note = "gap diverges" if limit == INF else f"gap -> {limit:g}"
-    return GapResult(GapKind.POSITIVE, eps, max(branch_onset, cf.onset, _onset_n(s_onset, cf.var)), note)
-
-
-def liminf_abs_gap(p, q) -> GapResult:
-    """Three-valued comparison of liminf |p_n - q_n| against 0."""
-    diff = E.AbsDiff(p, q)
-    results = []
-    for per, pc, qc, onset in pair_branches(p, q):
-        cf = closed_form(E.AbsDiff(pc, qc))
-        if cf is None:
-            results.append(GapResult(GapKind.UNKNOWN, note="branch mixes n and a_n"))
-        else:
-            results.append(_gap_of_cf(cf, onset))
-
-    if any(r.kind is GapKind.ZERO for r in results):
-        zero = min((r for r in results if r.kind is GapKind.ZERO), key=lambda r: r.onset or 1)
-        return zero
-    if all(r.kind is GapKind.POSITIVE for r in results) and results:
-        eps = min(r.epsilon for r in results)
-        onset = max(r.onset for r in results)
-        onset = _refine_onset(diff, onset, lambda vals: vals >= eps)
-        return GapResult(GapKind.POSITIVE, eps, onset, "; ".join(sorted({r.note for r in results})))
-    return GapResult(GapKind.UNKNOWN, note="; ".join(r.note for r in results if r.note))
-
-
 class SignKind(enum.Enum):
     POSITIVE = "positive"  # liminf (p_n - q_n) > 0 on the branch
     ZERO = "zero"
@@ -622,58 +578,92 @@ class SignKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SignedBranchGap:
-    pset: Periodic
-    p_core: object
-    q_core: object
+class BranchGap:
+    """p_n − q_n on one row: its sign with ε and onset, and the onset and
+    note of the matching claim on |p_n − q_n| (none when undecided)."""
+
     kind: SignKind
     epsilon: Optional[float] = None
     onset: int = 1
+    abs_onset: Optional[int] = None
+    note: str = ""
 
 
-def signed_branch_gaps(p, q) -> list[SignedBranchGap]:
-    """Per-branch classification of liminf/limsup of the signed difference."""
-    out = []
-    for per, pc, qc, onset in pair_branches(p, q):
-        a, b = closed_form(pc), closed_form(qc)
-        if a is None or b is None:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.UNKNOWN, onset=onset))
-            continue
-        if a.is_inf and b.is_inf:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.ZERO, onset=onset))
-            continue
-        if a.is_inf:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.POSITIVE, 1.0, max(onset, a.onset)))
-            continue
-        if b.is_inf:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.NEGATIVE, 1.0, max(onset, b.onset)))
-            continue
-        ok, var = _join_var(a.var, b.var)
-        if not ok:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.UNKNOWN, onset=onset))
-            continue
-        d = a.form.sub(b.form)
-        limit = d.limit()
-        base = max(onset, a.onset, b.onset)
-        if d.is_zero or limit == 0.0:
-            out.append(SignedBranchGap(per, pc, qc, SignKind.ZERO, onset=base))
-        else:
-            kind = SignKind.POSITIVE if limit > 0 else SignKind.NEGATIVE
-            eps, s_onset = _margin(d if limit > 0 else d.neg(), abs(limit))
-            out.append(SignedBranchGap(per, pc, qc, kind, eps, max(base, _onset_n(s_onset, var))))
-    return out
+def _branch_gap(a: Optional[ClosedForm], b: Optional[ClosedForm], onset: int) -> BranchGap:
+    """The gap on a row whose p and q have the closed forms ``a`` and ``b``:
+    one subtraction, one sign, one margin, read by both gap verdicts."""
+    ok, var = (False, None) if a is None or b is None else _join_var(a.var, b.var)
+    if not ok:
+        return BranchGap(SignKind.UNKNOWN, onset=onset, note="branch mixes n and a_n")
+    base = max(onset, a.onset, b.onset)
+    if a.is_inf and b.is_inf:
+        return BranchGap(SignKind.ZERO, None, onset, base, "|p_n - q_n| -> 0")
+    if a.is_inf or b.is_inf:
+        kind, side = (SignKind.POSITIVE, a) if a.is_inf else (SignKind.NEGATIVE, b)
+        return BranchGap(kind, 1.0, max(onset, side.onset), base, "gap is infinite")
+    d = a.form.sub(b.form)
+    limit = d.limit()
+    abs_onset = base if d.is_zero else max(base, _onset_n(d.sign_onset()[1], var))  # |d| = ±d from there
+    if limit == 0.0:
+        return BranchGap(SignKind.ZERO, None, base, abs_onset, "|p_n - q_n| -> 0")
+    kind, size = (SignKind.POSITIVE, limit) if limit > 0 else (SignKind.NEGATIVE, -limit)
+    # |d| >= ε from m_onset: ε = 1/2 for an infinite limit, the limit for a constant d, else half of it
+    eps = 0.5 if size == INF else (size if d.is_const(limit) else size / 2.0)
+    m_onset = max(base, _onset_n((d if limit > 0 else d.neg()).sub_scalar(eps).sign_onset()[1], var))
+    if eps == size:  # a constant gap holds wherever the branch's closed form does
+        return BranchGap(kind, eps, m_onset, abs_onset, "gap is constant")
+    note = "gap diverges" if size == INF else f"gap -> {size:g}"
+    return BranchGap(kind, eps, m_onset, max(abs_onset, m_onset), note)
+
+
+class PairAnalysis:
+    """What every verdict on a pair (p, q) reads: the analyses of p and of q,
+    their joint rows (pset, (p branch, q branch), onset), and, each computed
+    on first use, the branches of r_n and of the equality exponent over those
+    rows, the gap on each row, and liminf |p_n − q_n|."""
+
+    def __init__(self, p, q):
+        self.p, self.q = Analysis(p), Analysis(q)
+        self.rows = _refine([self.p.branches, self.q.branches])
+
+    @cached_property
+    def rn(self) -> list[Branch]:
+        return _joint(E.RnOf, self.rows)
+
+    @cached_property
+    def nakano(self) -> list[Branch]:
+        return _joint(E.NakanoExponent, self.rows)
+
+    @cached_property
+    def branch_gaps(self) -> list[BranchGap]:
+        """Per row, the sign of liminf/limsup of p_n − q_n and the |p_n − q_n| claim."""
+        return [_branch_gap(pb.form, qb.form, onset) for _, (pb, qb), onset in self.rows]
+
+    @cached_property
+    def liminf_abs_gap(self) -> GapResult:
+        gaps = self.branch_gaps
+        zeros = [g for g in gaps if g.kind is SignKind.ZERO]
+        if zeros:
+            first = min(zeros, key=lambda g: g.abs_onset)
+            return GapResult(GapKind.ZERO, onset=first.abs_onset, note=first.note)
+        if gaps and all(g.abs_onset is not None for g in gaps):
+            eps, onset = min(g.epsilon for g in gaps), max(g.abs_onset for g in gaps)
+            onset = _refine_onset(E.AbsDiff(self.p.seq, self.q.seq), onset, lambda vals: vals >= eps)
+            return GapResult(GapKind.POSITIVE, eps, onset, "; ".join(sorted({g.note for g in gaps})))
+        return GapResult(GapKind.UNKNOWN, note="; ".join(g.note for g in gaps if g.note))
+
+
+def liminf_abs_gap(p, q) -> GapResult:
+    """Three-valued comparison of liminf |p_n - q_n| against 0."""
+    return PairAnalysis(p, q).liminf_abs_gap
 
 
 def signed_liminf_gap(p, q) -> GapResult:
     """Liminf of the signed difference p_n - q_n compared against 0."""
-    gaps = signed_branch_gaps(p, q)
+    gaps = PairAnalysis(p, q).branch_gaps
     if gaps and all(g.kind is SignKind.POSITIVE for g in gaps):
-        return GapResult(
-            GapKind.POSITIVE,
-            min(g.epsilon for g in gaps),
-            max(g.onset for g in gaps),
-            "p_n - q_n stays above a positive bound",
-        )
+        eps, onset = min(g.epsilon for g in gaps), max(g.onset for g in gaps)
+        return GapResult(GapKind.POSITIVE, eps, onset, "p_n - q_n stays above a positive bound")
     if any(g.kind in (SignKind.ZERO, SignKind.NEGATIVE) for g in gaps):
         return GapResult(GapKind.ZERO, note="signed difference does not stay positive")
     return GapResult(GapKind.UNKNOWN)

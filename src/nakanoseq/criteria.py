@@ -11,21 +11,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exponents as E
-from ._asymptotics import (
-    AsymptoticProfile,
-    Branch,
-    GapKind,
-    GapResult,
-    SignKind,
-    liminf_abs_gap,
-    profile,
-    signed_branch_gaps,
-)
+from ._asymptotics import AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind, profile
 from .errors import HorizonExhausted, InternalInconsistency
-from .series import decide_branch, exists_alpha, one_in_lrn
+from .series import _exists_alpha, decide_branch
 from .verdicts import (
     Answer,
     CANONICAL_BASIS_REMARK,
+    INCLUSION_TEST,
     LINF_COPY,
     NAKANO_LEMMA,
     NOT_APPLICABLE,
@@ -92,30 +84,28 @@ class SpaceProfile(Record):
         return out
 
 
+def _space_verdicts(prof: AsymptoticProfile, ev) -> tuple[Verdict, Verdict, Verdict]:
+    """(separable, reflexive, contains a sup-norm copy) read off a profile, with evidence ``ev``."""
+    if prof.bounded_above is Answer.UNKNOWN:
+        return Verdict(Answer.UNKNOWN, ev), Verdict(Answer.UNKNOWN, ev), Verdict(Answer.UNKNOWN, ev)
+    if prof.bounded_above is Answer.NO:
+        no = Verdict(Answer.NO, ev, LINF_COPY)
+        return no, no, Verdict(Answer.YES, ev, LINF_COPY)
+    if prof.liminf.lo > 1.0:
+        reflexive = Verdict(Answer.YES, ev, SEPARABILITY_REMARK)
+    elif prof.liminf.hi <= 1.0:
+        reflexive = Verdict(Answer.NO, ev, SEPARABILITY_REMARK)
+    else:
+        reflexive = Verdict(Answer.UNKNOWN, ev)
+    return Verdict(Answer.YES, ev, SEPARABILITY_REMARK), reflexive, Verdict(Answer.NO, ev, LINF_COPY)
+
+
 def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile:
     """Separability, reflexivity, and presence of a sup-norm copy, all read
     off the certified exponent profile."""
     prof = profile(p)
     ev = ProfileEvidence(f"liminf p_n in {prof.liminf}, limsup p_n in {prof.limsup}", prof.to_json())
-
-    if prof.bounded_above is Answer.YES:
-        separable = Verdict(Answer.YES, ev, SEPARABILITY_REMARK)
-        linf = Verdict(Answer.NO, ev, LINF_COPY)
-        if prof.liminf.lo > 1.0:
-            reflexive = Verdict(Answer.YES, ev, SEPARABILITY_REMARK)
-        elif prof.liminf.hi <= 1.0:
-            reflexive = Verdict(Answer.NO, ev, SEPARABILITY_REMARK)
-        else:
-            reflexive = Verdict(Answer.UNKNOWN, ev)
-    elif prof.bounded_above is Answer.NO:
-        separable = Verdict(Answer.NO, ev, LINF_COPY)
-        reflexive = Verdict(Answer.NO, ev, LINF_COPY)
-        linf = Verdict(Answer.YES, ev, LINF_COPY)
-    else:
-        separable = Verdict(Answer.UNKNOWN, ev)
-        reflexive = Verdict(Answer.UNKNOWN, ev)
-        linf = Verdict(Answer.UNKNOWN, ev)
-
+    separable, reflexive, linf = _space_verdicts(prof, ev)
     wit = exhausted = None
     if linf.answer is Answer.YES and witness_count > 0:
         from .witness import linf_witness
@@ -134,7 +124,11 @@ def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile
 
 def spaces_equal(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     """ℓ_{p_n} = ℓ_{q_n} iff Σ α^{p_n q_n / |p_n − q_n|} < ∞ for some α."""
-    v = exists_alpha(E.NakanoExponent(p, q))
+    return _spaces_equal(PairAnalysis(p, q))
+
+
+def _spaces_equal(a: PairAnalysis) -> Verdict:
+    v = _exists_alpha(E.NakanoExponent(a.p.seq, a.q.seq), a.nakano)
     return Verdict(v.answer, v.certificate, NAKANO_LEMMA if v.answer is not Answer.UNKNOWN else "")
 
 
@@ -146,43 +140,47 @@ def inclusion_holds(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     restricted spaces are certified distinct (the pointwise-smaller space
     then sits strictly inside, contradicting inclusion); Unknown otherwise.
     """
-    v = one_in_lrn(p, q)
+    return _inclusion_holds(PairAnalysis(p, q))
+
+
+def _inclusion_holds(a: PairAnalysis) -> Verdict:
+    v = _exists_alpha(E.RnOf(a.p.seq, a.q.seq), a.rn)  # one_in_lrn over the pair's rows
     if v.answer is Answer.YES:
-        return v
-    for g in signed_branch_gaps(p, q):
+        return Verdict(Answer.YES, v.certificate, INCLUSION_TEST)
+    for g, nak in zip(a.branch_gaps, a.nakano):
         if g.kind is not SignKind.POSITIVE:
             continue
-        ans, nak = decide_branch(Branch(g.pset, E.NakanoExponent(g.p_core, g.q_core), g.onset), None)
+        ans, nak_cert = decide_branch(Branch(nak.pset, nak.core, g.onset, nak.form), None)
         if ans is Answer.NO:
             cert = GapEvidence(
                 f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {g.onset} "
                 "and the restricted spaces are distinct",
-                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak.to_json() if nak else None},
+                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak_cert.to_json() if nak_cert else None},
             )
             return Verdict(Answer.NO, cert, NAKANO_LEMMA)
     return Verdict(Answer.UNKNOWN, v.certificate, "")
 
 
-def strictly_singular(
-    p: E.ExponentSequence, q: E.ExponentSequence, inclusion: Optional[Verdict] = None
-) -> Verdict:
+def strictly_singular(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     """Strict singularity of the inclusion, gated on the inclusion verdict."""
-    if inclusion is None:
-        inclusion = inclusion_holds(p, q)
+    a = PairAnalysis(p, q)
+    return _strictly_singular(a, _inclusion_holds(a))
+
+
+def _strictly_singular(a: PairAnalysis, inclusion: Verdict) -> Verdict:
     if inclusion.answer is not Answer.YES:
         return _na()
 
-    prof_p = profile(p)
+    prof_p = a.p.profile
     if prof_p.bounded_above is Answer.NO:
         ev = ProfileEvidence("limsup p_n = ∞: the source space contains a sup-norm copy", prof_p.to_json())
         return Verdict(Answer.NO, ev, SS_UNBOUNDED_SOURCE)
     if prof_p.bounded_above is Answer.UNKNOWN:
         return Verdict(Answer.UNKNOWN, ProfileEvidence("boundedness of p_n undecided", prof_p.to_json()), "")
 
-    gap = liminf_abs_gap(p, q)
+    gap = a.liminf_abs_gap
     if gap.kind is GapKind.POSITIVE:
-        prof_q = profile(q)
-        citation = SS_UNBOUNDED_TARGET if prof_q.bounded_above is Answer.NO else SS_BOUNDED
+        citation = SS_UNBOUNDED_TARGET if a.q.profile.bounded_above is Answer.NO else SS_BOUNDED
         ev = GapEvidence(
             f"limsup p_n < ∞ and |p_n − q_n| >= {gap.epsilon:g} for n >= {gap.onset}", gap.to_json()
         )
@@ -193,15 +191,16 @@ def strictly_singular(
     return Verdict(Answer.UNKNOWN, GapEvidence("liminf |p_n − q_n| undecided", gap.to_json()), "")
 
 
-def weakly_compact(
-    p: E.ExponentSequence, q: E.ExponentSequence, inclusion: Optional[Verdict] = None
-) -> Verdict:
+def weakly_compact(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     """Weak compactness of the inclusion: 1 < liminf q_n <= limsup q_n < ∞."""
-    if inclusion is None:
-        inclusion = inclusion_holds(p, q)
+    a = PairAnalysis(p, q)
+    return _weakly_compact(a, _inclusion_holds(a))
+
+
+def _weakly_compact(a: PairAnalysis, inclusion: Verdict) -> Verdict:
     if inclusion.answer is not Answer.YES:
         return _na()
-    prof_q = profile(q)
+    prof_q = a.q.profile
     ev = ProfileEvidence(f"liminf q_n in {prof_q.liminf}, limsup q_n in {prof_q.limsup}", prof_q.to_json())
     if prof_q.liminf.lo > 1.0 and prof_q.limsup.hi < INF:
         return Verdict(Answer.YES, ev, WEAK_COMPACTNESS)
@@ -210,13 +209,13 @@ def weakly_compact(
     return Verdict(Answer.UNKNOWN, ev, "")
 
 
-def compactness_suite(
-    p: E.ExponentSequence, q: E.ExponentSequence, inclusion: Optional[Verdict] = None
-) -> tuple[Verdict, Verdict, Verdict]:
+def compactness_suite(p: E.ExponentSequence, q: E.ExponentSequence) -> tuple[Verdict, Verdict, Verdict]:
     """(compact, L-weakly compact, M-weakly compact) — all three always fail:
     the canonical unit sequence is normalized in every space."""
-    if inclusion is None:
-        inclusion = inclusion_holds(p, q)
+    return _compactness_suite(inclusion_holds(p, q))
+
+
+def _compactness_suite(inclusion: Verdict) -> tuple[Verdict, Verdict, Verdict]:
     if inclusion.answer is not Answer.YES:
         return _na(), _na(), _na()
     ev = Remark("the canonical unit sequence (e_n) is normalized in every space")
@@ -243,20 +242,20 @@ class InclusionReport(Record):
     notes: tuple[str, ...] = ()
 
 
-def _check_invariants(report: InclusionReport, p: E.ExponentSequence, q: E.ExponentSequence) -> None:
+def _check_invariants(report: InclusionReport, a: PairAnalysis) -> None:
     eq, ss = report.spaces_equal.answer, report.strictly_singular.answer
     if eq is Answer.YES and ss is Answer.YES:
         raise InternalInconsistency("spaces_equal = Yes together with strictly_singular = Yes")
     if report.weakly_compact.answer is Answer.YES:
-        if space_profile(q, witness_count=0).reflexive.answer is not Answer.YES:
+        if _space_verdicts(a.q.profile, None)[1].answer is not Answer.YES:
             raise InternalInconsistency("weakly_compact = Yes but the target space is not reflexive")
     # a bounded source with a certified gap and p_n > q_n on an infinite
     # family cannot coexist with a holding inclusion
     if (
         report.inclusion_holds.answer is Answer.YES
         and report.gap.kind is GapKind.POSITIVE
-        and profile(p).bounded_above is Answer.YES
-        and any(g.kind is SignKind.POSITIVE for g in signed_branch_gaps(p, q))
+        and a.p.profile.bounded_above is Answer.YES
+        and any(g.kind is SignKind.POSITIVE for g in a.branch_gaps)
     ):
         raise InternalInconsistency("inclusion holds despite a certified reverse exponent gap")
 
@@ -266,12 +265,13 @@ def full_report(p: E.ExponentSequence, q: E.ExponentSequence, witness_count: int
     witness subsequences attached where the verdicts promise them."""
     from .witness import equality_witness, linf_witness
 
-    inclusion = inclusion_holds(p, q)
-    equal = spaces_equal(p, q)
-    ss = strictly_singular(p, q, inclusion)
-    wc = weakly_compact(p, q, inclusion)
-    compact, l_weak, m_weak = compactness_suite(p, q, inclusion)
-    gap = liminf_abs_gap(p, q)
+    a = PairAnalysis(p, q)
+    inclusion = _inclusion_holds(a)
+    equal = _spaces_equal(a)
+    ss = _strictly_singular(a, inclusion)
+    wc = _weakly_compact(a, inclusion)
+    compact, l_weak, m_weak = _compactness_suite(inclusion)
+    gap = a.liminf_abs_gap
 
     witnesses: dict = {}
     notes: list[str] = []
@@ -288,5 +288,5 @@ def full_report(p: E.ExponentSequence, q: E.ExponentSequence, witness_count: int
                 notes.append(f"sup-norm witness scan exhausted: {exc}")
 
     report = InclusionReport(inclusion, equal, ss, wc, compact, l_weak, m_weak, gap, witnesses, tuple(notes))
-    _check_invariants(report, p, q)
+    _check_invariants(report, a)
     return report

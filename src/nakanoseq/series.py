@@ -31,7 +31,6 @@ from ._asymptotics import (
     VAR_A,
     VAR_N,
     _onset_n,
-    closed_form,
     normalize,
 )
 from .errors import SemanticError
@@ -245,7 +244,7 @@ def decide_branch(branch: Branch, alpha: Optional[float]) -> tuple[Answer, objec
     Any α works in the convergent regimes here, so the ∃α question is
     certified at α = 1/2.
     """
-    cf = closed_form(branch.core)
+    cf = branch.form
     if cf is None:
         return Answer.UNKNOWN, None
     if cf.is_inf:
@@ -270,10 +269,10 @@ def decide_branch(branch: Branch, alpha: Optional[float]) -> tuple[Answer, objec
 # --------------------------------------------------------------------------
 
 
-def _combine(exponent: E.ExponentSequence, alpha: Optional[float], probe) -> Verdict:
-    """Decide every branch of ``exponent``: one No decides, all Yes decide,
-    anything else is Unknown with ``probe()`` attached."""
-    parts = [(b.pset, *decide_branch(b, alpha)) for b in normalize(exponent)]
+def _combine(branches: list[Branch], alpha: Optional[float], probe) -> Verdict:
+    """Decide every branch: one No decides, all Yes decide, anything else is
+    Unknown with ``probe()`` attached."""
+    parts = [(b.pset, *decide_branch(b, alpha)) for b in branches]
     for _, ans, cert in parts:
         if ans is Answer.NO:
             return Verdict(Answer.NO, cert)
@@ -299,17 +298,22 @@ def decide_convergence(alpha: float, exponent: E.ExponentSequence) -> Verdict:
         s = partial_sum(alpha, exponent, PROBE_HORIZON)
         return NumericProbe(PROBE_HORIZON, ((alpha, s),), "undecided regime; partial sums attached")
 
-    return _combine(exponent, alpha, probe)
+    return _combine(normalize(exponent), alpha, probe)
 
 
 def exists_alpha(exponent: E.ExponentSequence) -> Verdict:
     """Decide ∃α ∈ (0,1): Σ_{n: e(n) < ∞} α^{e(n)} < ∞."""
+    return _exists_alpha(exponent, normalize(exponent))
+
+
+def _exists_alpha(exponent: E.ExponentSequence, branches: list[Branch]) -> Verdict:
+    """``exists_alpha`` decided over ``branches``, the branches of ``exponent``."""
 
     def probe():
         sums = tuple(zip(PROBE_ALPHAS, _direct_partial_sums(PROBE_ALPHAS, exponent, PROBE_HORIZON)))
         return NumericProbe(PROBE_HORIZON, sums, "undecided regime; probes at several α attached")
 
-    verdict = _combine(exponent, None, probe)
+    verdict = _combine(branches, None, probe)
     if verdict.answer is Answer.YES:
         return Verdict(Answer.YES, AlphaCertificate(0.5, verdict.certificate))
     return verdict
@@ -363,25 +367,25 @@ def _direct_partial_sums(alphas, exponent: E.ExponentSequence, horizon: int) -> 
     return totals
 
 
-def _block_branches(exponent: E.ExponentSequence):
-    """Per-branch closed forms when every branch is block/const, else None."""
-    out = []
-    for b in normalize(exponent):
-        cf = closed_form(b.core)
+def _block_branches(exponent: E.ExponentSequence) -> Optional[list[Branch]]:
+    """The branches of ``exponent`` when every one has a block or constant closed form, else None."""
+    branches = normalize(exponent)
+    for b in branches:
+        cf = b.form
         if cf is None:
             return None
         if not cf.is_inf and cf.var == VAR_N:
             lim = cf.form.limit()
             if not (math.isfinite(lim) and cf.form.is_const(lim)):
                 return None
-        out.append((b, cf))
-    return out
+    return branches
 
 
 def _add_block(total: float, alpha: float, blocks, k: int, start: int, end: int) -> float:
     """``total`` plus the terms of block k at indices start..end, added branch
     by branch; indices before a branch's onset are left out."""
-    for b, cf in blocks:
+    for b in blocks:
+        cf = b.form
         count = b.pset.count_in_range(max(start, b.onset, cf.onset), end)
         if count == 0:
             continue
@@ -405,7 +409,7 @@ def partial_sum(alpha: float, exponent: E.ExponentSequence, horizon: int) -> flo
             raise SemanticError(f"horizon {horizon} too large for term-by-term summation on this exponent")
         return _direct_partial_sums((alpha,), exponent, horizon)[0]
 
-    lead_in = max(max(b.onset, cf.onset) for b, cf in blocks)
+    lead_in = max(max(b.onset, b.form.onset) for b in blocks)
     lead_in = min(lead_in, horizon)
     if lead_in > 2_000_000:
         raise SemanticError("closed-form onset too large for exact aggregation")

@@ -1,5 +1,7 @@
 """Space and inclusion-operator classification with cited verdicts."""
+import cProfile
 import math
+import pstats
 import random
 
 import pytest
@@ -21,7 +23,9 @@ from nakanoseq import (
     compactness_suite,
     full_report,
     inclusion_holds,
+    liminf_abs_gap,
     parse_expression,
+    print_expression,
     space_profile,
     spaces_equal,
     strictly_singular,
@@ -259,3 +263,54 @@ def test_full_report_after_block_cache_growth():
     assert first.inclusion_holds.answer is Answer.YES
     second = full_report(parse_expression("n"), parse_expression("blocks"), witness_count=0)
     assert second.inclusion_holds.answer is Answer.UNKNOWN
+
+
+# -- one pair analysis per report ---------------------------------------------------
+
+
+def _seed88_pairs(count):
+    rng = random.Random(88)
+    return [gen_pair(rng) for _ in range(count)]
+
+
+def test_standalone_verdicts_match_full_report():
+    # the first 100 seed-88 pairs hold six with an Unknown inclusion
+    for p, q in _seed88_pairs(100):
+        r = full_report(p, q, witness_count=0)
+        assert inclusion_holds(p, q) == r.inclusion_holds
+        assert spaces_equal(p, q) == r.spaces_equal
+        assert strictly_singular(p, q) == r.strictly_singular
+        assert weakly_compact(p, q) == r.weakly_compact
+        assert compactness_suite(p, q) == (r.compact, r.l_weakly_compact, r.m_weakly_compact)
+        assert liminf_abs_gap(p, q) == r.gap
+
+
+CALL_LIMITS = {
+    "normalize": 2,  # once for p, once for q
+    "branch_gaps": 1,  # the one pass over each row's p − q, read by both gap verdicts
+    "liminf_abs_gap": 1,
+    "profile": 2,  # at most once per side
+    "space_profile": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "index, shape",
+    [(4, "merge"), (12, "prefix"), (17, "zero gap"), (84, "unknown inclusion")],
+)
+def test_full_report_computes_each_intermediate_once(index, shape):
+    p, q = _seed88_pairs(index + 1)[index]
+    r = full_report(p, q, witness_count=0)
+    assert {
+        "merge": "merge(" in print_expression(p) + print_expression(q),
+        "prefix": "prefix(" in print_expression(p) + print_expression(q),
+        "zero gap": r.gap.kind is GapKind.ZERO,
+        "unknown inclusion": r.inclusion_holds.answer is Answer.UNKNOWN,
+    }[shape]
+    prof = cProfile.Profile()
+    prof.runcall(full_report, p, q, witness_count=0)
+    calls = dict.fromkeys(CALL_LIMITS, 0)
+    for (filename, _, name), (primitive, *_rest) in pstats.Stats(prof).stats.items():
+        if name in calls and "nakanoseq" in filename:
+            calls[name] += primitive
+    assert {n: c for n, c in calls.items() if c > CALL_LIMITS[n]} == {}, calls

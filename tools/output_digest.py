@@ -21,7 +21,10 @@ Corpora:
 * ``cli`` — stdout and exit code of the README's commands (each with and
   without ``--json``) and of the Unknown ``compare``, run as subprocesses;
 * ``text`` — ``cli._verdict_line`` for the seven verdicts of each of the 1000
-  seed-88 reports and the three verdicts of each of the 200 space profiles.
+  seed-88 reports and the three verdicts of each of the 200 space profiles;
+* ``verdicts`` — the JSON of each criteria and gap function called on its own
+  (``inclusion_holds`` … ``signed_liminf_gap``, and ``profile`` of p and of q)
+  for the first 100 seed-88 pairs.
 """
 from __future__ import annotations
 
@@ -47,6 +50,15 @@ REPORT_VERDICTS = (
     "m_weakly_compact",
 )
 SPACE_VERDICTS = ("separable", "reflexive", "contains_linf_copy")
+PAIR_FUNCTIONS = (
+    "inclusion_holds",
+    "spaces_equal",
+    "strictly_singular",
+    "weakly_compact",
+    "compactness_suite",
+    "liminf_abs_gap",
+    "signed_liminf_gap",
+)
 
 
 def _reports(N, gens):
@@ -87,6 +99,17 @@ def _text(reports, profiles):
 
     lines = [_verdict_line(name, getattr(r, name)) for r in reports for name in REPORT_VERDICTS]
     return lines + [_verdict_line(name, getattr(s, name)) for s in profiles for name in SPACE_VERDICTS]
+
+
+def _verdicts(N, pairs):
+    lines = []
+    for p, q in pairs[:100]:
+        for name in PAIR_FUNCTIONS:
+            result = getattr(N, name)(p, q)
+            js = [v.to_json() for v in result] if isinstance(result, tuple) else result.to_json()
+            lines.append(f"{name}\t{json.dumps(js)}")
+        lines += [f"profile\t{json.dumps(N.profile(s).to_json())}" for s in (p, q)]
+    return lines
 
 
 def _cli(src, gen):
@@ -140,6 +163,7 @@ def main() -> int:
         "space": [json.dumps(s.to_json()) for s in profiles],
         "cli": _cli(src, gen),
         "text": _text(report_objs, profiles),
+        "verdicts": _verdicts(N, pairs),
     }
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
