@@ -369,9 +369,9 @@ def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, 
         refined = []
         for pset, parts, onset in joint:
             for b in branches:
-                ps, o = _strip(pset.intersect(b.pset))
+                ps = pset.intersect(b.pset)
                 if ps.is_infinite():
-                    refined.append((ps, parts + (b,), max(o, onset, b.onset)))
+                    refined.append((ps, parts + (b,), max(onset, b.onset)))
         joint = refined
     return joint
 
@@ -397,9 +397,9 @@ def normalize(seq) -> list[Branch]:
             out = []
             for part, sub in ((per, s.on_set), (per.complement(), s.off_set)):
                 for b in rec(sub):
-                    ps, o = _strip(part.intersect(b.pset))
+                    ps = part.intersect(b.pset)
                     if ps.is_infinite():
-                        out.append(Branch(ps, b.core, max(o, p_onset, b.onset), b.form))
+                        out.append(Branch(ps, b.core, max(p_onset, b.onset), b.form))
             return out
         if type(s) in _OPERANDS:
             return _joint(type(s), _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exponents as E
-from ._asymptotics import AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind, profile
+from ._asymptotics import Analysis, AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind
 from .errors import HorizonExhausted, InternalInconsistency
 from .series import _exists_alpha, decide_branch
 from .verdicts import (
@@ -29,6 +29,7 @@ from .verdicts import (
     Verdict,
     WEAK_COMPACTNESS,
 )
+from .witness import _equality_witness, _linf_witness
 
 INF = math.inf
 
@@ -103,15 +104,14 @@ def _space_verdicts(prof: AsymptoticProfile, ev) -> tuple[Verdict, Verdict, Verd
 def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile:
     """Separability, reflexivity, and presence of a sup-norm copy, all read
     off the certified exponent profile."""
-    prof = profile(p)
+    a = Analysis(p)
+    prof = a.profile
     ev = ProfileEvidence(f"liminf p_n in {prof.liminf}, limsup p_n in {prof.limsup}", prof.to_json())
     separable, reflexive, linf = _space_verdicts(prof, ev)
     wit = exhausted = None
     if linf.answer is Answer.YES and witness_count > 0:
-        from .witness import linf_witness
-
         try:
-            wit = linf_witness(p, witness_count)
+            wit = _linf_witness(a, witness_count)
         except HorizonExhausted as exc:
             exhausted = exc
     return SpaceProfile(separable, reflexive, linf, prof, wit, exhausted)
@@ -263,8 +263,6 @@ def _check_invariants(report: InclusionReport, a: PairAnalysis) -> None:
 def full_report(p: E.ExponentSequence, q: E.ExponentSequence, witness_count: int = 5) -> InclusionReport:
     """All operator verdicts for ℓ_{p_n} ↪ ℓ_{q_n}, cross-checked, with
     witness subsequences attached where the verdicts promise them."""
-    from .witness import equality_witness, linf_witness
-
     a = PairAnalysis(p, q)
     inclusion = _inclusion_holds(a)
     equal = _spaces_equal(a)
@@ -278,12 +276,12 @@ def full_report(p: E.ExponentSequence, q: E.ExponentSequence, witness_count: int
     if witness_count > 0:
         if gap.kind is GapKind.ZERO:
             try:
-                witnesses["equality"] = equality_witness(p, q, witness_count)
+                witnesses["equality"] = _equality_witness(a, witness_count)
             except HorizonExhausted as exc:
                 notes.append(f"equality witness scan exhausted: {exc}")
         if ss.answer is Answer.NO and ss.citation == SS_UNBOUNDED_SOURCE:
             try:
-                witnesses["linf_copy"] = linf_witness(p, witness_count)
+                witnesses["linf_copy"] = _linf_witness(a.p, witness_count)
             except HorizonExhausted as exc:
                 notes.append(f"sup-norm witness scan exhausted: {exc}")
 

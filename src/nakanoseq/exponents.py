@@ -84,9 +84,6 @@ class ExponentSequence:
         if kind:
             _KINDS[kind] = cls
 
-    def eval(self, n: int) -> float:
-        raise NotImplementedError
-
     def eval_range(self, start: int, stop: int) -> np.ndarray:
         """Values at n = start..stop-1 as float64 (∞ allowed).
 
@@ -101,9 +98,6 @@ class ExponentSequence:
             hi = min(lo + EVAL_BLOCK, stop)
             out[lo - start : hi - start] = self._eval_array(np.arange(lo, hi, dtype=np.float64))
         return out
-
-    def _eval_array(self, ns: np.ndarray) -> np.ndarray:
-        return np.array([self.eval(int(n)) for n in ns], dtype=np.float64)
 
     def to_json(self) -> dict:
         """``{"kind": ..., field: value, ...}`` in field order; ∞ is written "inf"."""

@@ -1,13 +1,15 @@
 """Index subsets of the positive integers used to split sequence spaces.
 
 Every set normalizes to a *periodic* form: a modulus, a residue set, and
-finite exception lists.  That form is closed under complement and
-intersection, membership is O(1), and counting members in a range is exact,
-which the series layer relies on for block-aggregated partial sums.
+finite exception lists.  That form is closed under complement (and, without
+exceptions, under intersection), membership is O(1), and counting members in
+a range is exact, which the series layer relies on for block-aggregated
+partial sums.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -45,24 +47,10 @@ class Periodic:
         return Periodic(self.modulus, all_res - self.residues, plus=self.minus, minus=self.plus)
 
     def intersect(self, other: "Periodic") -> "Periodic":
-        import math
-
+        """Intersection of two sets without exceptions (both ``plus`` and ``minus`` empty)."""
         m = math.lcm(self.modulus, other.modulus)
-        residues = frozenset(
-            r for r in range(m) if (r % self.modulus) in self.residues and (r % other.modulus) in other.residues
-        )
-        base = Periodic(m, residues)
-        # exceptions: any index where the naive periodic answer differs
-        exceptional = self.plus | self.minus | other.plus | other.minus
-        plus, minus = set(), set()
-        for n in exceptional:
-            actual = self.contains(n) and other.contains(n)
-            naive = n % m in residues
-            if actual and not naive:
-                plus.add(n)
-            elif naive and not actual:
-                minus.add(n)
-        return Periodic(m, residues, frozenset(plus), frozenset(minus))
+        residues = (r for r in range(m) if r % self.modulus in self.residues and r % other.modulus in other.residues)
+        return Periodic(m, frozenset(residues))
 
     def members(self, start: int = 1) -> Iterator[int]:
         for n in itertools.count(start):

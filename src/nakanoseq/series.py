@@ -35,7 +35,7 @@ from ._asymptotics import (
 )
 from .errors import SemanticError
 from .indexsets import Periodic
-from .verdicts import Answer, Record, Verdict
+from .verdicts import Answer, INCLUSION_TEST, Record, Verdict
 
 INF = math.inf
 
@@ -322,8 +322,6 @@ def _exists_alpha(exponent: E.ExponentSequence, branches: list[Branch]) -> Verdi
 def one_in_lrn(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     """Membership of the all-ones sequence in the complementary-exponent
     space: equivalent to ∃α ∈ (0,1): Σ_{r_n < ∞} α^{r_n} < ∞."""
-    from .verdicts import INCLUSION_TEST
-
     v = exists_alpha(E.RnOf(p, q))
     return Verdict(v.answer, v.certificate, INCLUSION_TEST)
 

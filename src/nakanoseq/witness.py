@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exponents as E
-from ._asymptotics import GapKind, liminf_abs_gap, profile
+from ._asymptotics import Analysis, GapKind, PairAnalysis
 from .errors import HorizonExhausted, NormComputationError, PreconditionError
 from .indexsets import IndexSet
 from .vectors import SparseVector, luxemburg_norm
@@ -100,14 +100,20 @@ def equality_witness(
     modular Σ_k (1/2)^{e(n_k)} of the half-scaled flat vector on the witness,
     where e is the equality exponent p·q/|p − q| — it must stay <= 1.
     """
+    return _equality_witness(PairAnalysis(p, q), count, horizon)
+
+
+def _equality_witness(a: PairAnalysis, count: int, horizon: int = SCAN_HORIZON) -> WitnessSubsequence:
+    """:func:`equality_witness` on a pair analysis, whose gap verdict is the precondition."""
     if count < 1:
         raise PreconditionError("witness count must be positive")
-    gap = liminf_abs_gap(p, q)
+    gap = a.liminf_abs_gap
     if gap.kind is not GapKind.ZERO:
         raise PreconditionError(
             f"equality witness needs liminf |p_n - q_n| = 0; the gap verdict is {gap.kind.value}"
         )
 
+    p, q = a.p.seq, a.q.seq
     diff = E.AbsDiff(p, q)
     nak = E.NakanoExponent(p, q)
     indices = _scan(
@@ -122,15 +128,21 @@ def linf_witness(p: E.ExponentSequence, count: int, horizon: int = SCAN_HORIZON)
     """First ``count`` indices with p(n_k) >= k; the flat vector on them,
     scaled by 1/2, has modular Σ (1/2)^{p(n_k)} <= Σ (1/2)^k <= 1, which is
     the sup-norm-copy construction."""
+    return _linf_witness(Analysis(p), count, horizon)
+
+
+def _linf_witness(a: Analysis, count: int, horizon: int = SCAN_HORIZON) -> WitnessSubsequence:
+    """:func:`linf_witness` on an analysis, whose boundedness verdict is the precondition."""
     if count < 1:
         raise PreconditionError("witness count must be positive")
-    prof = profile(p)
+    prof = a.profile
     if prof.bounded_above is not Answer.NO:
         raise PreconditionError(
             f"sup-norm witness needs a certified unbounded exponent; boundedness verdict is "
             f"{prof.bounded_above.value}"
         )
 
+    p = a.seq
     indices = _scan(p.eval_range, lambda v, k: ~(v < k * (1.0 - _REL_SLACK)), count, horizon, "p_n >= {k}")
     values = [p.eval(n) for n in indices]
     return WitnessSubsequence("linf", tuple(indices), tuple(values), _half_checks(values))

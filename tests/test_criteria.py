@@ -294,23 +294,43 @@ CALL_LIMITS = {
 }
 
 
+def _calls_over(limits, fn, *args, **kwargs):
+    """Primitive calls, per function name in ``limits``, that one ``fn(*args, **kwargs)`` makes beyond its limit."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args, **kwargs)
+    calls = dict.fromkeys(limits, 0)
+    for (filename, _, name), (primitive, *_rest) in pstats.Stats(prof).stats.items():
+        if name in calls and "nakanoseq" in filename:
+            calls[name] += primitive
+    return {n: c for n, c in calls.items() if c > limits[n]}
+
+
 @pytest.mark.parametrize(
     "index, shape",
-    [(4, "merge"), (12, "prefix"), (17, "zero gap"), (84, "unknown inclusion")],
+    [
+        (4, "merge"),
+        (12, "prefix"),
+        (17, "zero gap"),
+        (84, "unknown inclusion"),
+        (14, "both witness scans"),
+        (6, "sup-norm scan only"),
+    ],
 )
 def test_full_report_computes_each_intermediate_once(index, shape):
     p, q = _seed88_pairs(index + 1)[index]
-    r = full_report(p, q, witness_count=0)
+    r = full_report(p, q)
     assert {
         "merge": "merge(" in print_expression(p) + print_expression(q),
         "prefix": "prefix(" in print_expression(p) + print_expression(q),
         "zero gap": r.gap.kind is GapKind.ZERO,
         "unknown inclusion": r.inclusion_holds.answer is Answer.UNKNOWN,
+        "both witness scans": sorted(r.witnesses) == ["equality", "linf_copy"],
+        "sup-norm scan only": sorted(r.witnesses) == ["linf_copy"],
     }[shape]
-    prof = cProfile.Profile()
-    prof.runcall(full_report, p, q, witness_count=0)
-    calls = dict.fromkeys(CALL_LIMITS, 0)
-    for (filename, _, name), (primitive, *_rest) in pstats.Stats(prof).stats.items():
-        if name in calls and "nakanoseq" in filename:
-            calls[name] += primitive
-    assert {n: c for n, c in calls.items() if c > CALL_LIMITS[n]} == {}, calls
+    for witness_count in (0, 5):  # with witnesses, the scans check their preconditions on the report's analysis
+        assert _calls_over(CALL_LIMITS, full_report, p, q, witness_count=witness_count) == {}, witness_count
+
+
+def test_space_profile_normalizes_once():
+    # blocks is unbounded, so the sup-norm scan runs, on the analysis behind the profile
+    assert _calls_over({"normalize": 1, "profile": 1}, space_profile, BlockRepeat()) == {}

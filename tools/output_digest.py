@@ -12,6 +12,8 @@ Corpora:
 
 * ``reports`` — ``full_report(witness_count=0).to_json()`` on the 1000
   seed-88 ``gen_pair`` draws;
+* ``compare`` — ``full_report(p, q).to_json()`` on the same pairs, at the
+  default ``witness_count``, so with the witness scans ``compare`` runs;
 * ``descriptors`` — ``to_json()`` and ``print_expression`` of those pairs'
   descriptors and of 300 depth-3 ``gen_dsl_ast`` trees (seed 3);
 * ``witness`` — witness JSON on the seed-2 perfbench witness pool (416 calls);
@@ -157,6 +159,7 @@ def main() -> int:
     profiles = [N.space_profile(p) for p, _ in pairs[:200]]
     corpora = {
         "reports": reports,
+        "compare": [json.dumps(N.full_report(p, q).to_json()) for p, q in pairs],
         "descriptors": _descriptors(N, gens, pairs),
         "witness": _witness(N, gen),
         "norm": _norm(N, gen),
