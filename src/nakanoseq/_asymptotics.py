@@ -7,9 +7,9 @@ descriptors.  Every such branch collapses to a *generalized rational form*
     f(x) = (sum_i c_i x^{g_i}) / (sum_j d_j x^{g_j}),   real exponents,
 
 in a single asymptotic variable: either n itself or the block value a_n.
-On that algebra limits, eventual signs and dominance onsets are computable
-in closed form, with onsets certified by a leading-term bound and then
-tightened backwards by direct evaluation.
+On that algebra limits and eventual signs are computable in closed form, and
+every onset is the least index from which an inequality built from the form
+holds, decided exactly by ``least_index``.
 
 Branches that mix n and a_n (e.g. |n - a_n|) fall back to interval
 arithmetic over the argument profiles and yield honest Unknowns.
@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -30,8 +33,7 @@ from .verdicts import Answer, Record
 
 INF = math.inf
 
-ONSET_CAP = 10**18
-PROFILE_TOL = 1e-9
+PROFILE_TOL = Fraction(1, 10**9)
 SAMPLE_HORIZON = 10**5
 
 
@@ -81,31 +83,15 @@ class PSum:
     def eval(self, x: float) -> float:
         return sum(c * x**g for g, c in self.terms)
 
-    def dominance_onset(self) -> int:
-        """Smallest certified N with |tail| <= |lead|/2 for all x >= N.
+    @property
+    def sign(self) -> int:
+        """The eventual sign: that of the leading coefficient, 0 for the zero sum."""
+        return 0 if self.is_zero else (1 if self.terms[0][1] > 0 else -1)
 
-        Beyond it, |self(x)| is within [1/2, 3/2] times |c0| x^{g0}.
-        """
-        if len(self.terms) <= 1:
-            return 1
-        g0, c0 = self.terms[0]
-        g1 = self.terms[1][0]
-        rest = sum(abs(c) for g, c in self.terms[1:])
-        # |tail(x)| <= rest * x^{g1} for x >= 1; need rest*x^{g1} <= |c0| x^{g0} / 2
-        try:
-            x0 = (rest / (0.5 * abs(c0))) ** (1.0 / (g0 - g1))
-        except OverflowError:
-            return ONSET_CAP
-        if not math.isfinite(x0):
-            return ONSET_CAP
-        return min(max(1, math.floor(x0) + 1), ONSET_CAP)
-
-    def sign_onset(self) -> tuple[int, int]:
-        """(eventual sign, certified onset).  Sign 0 only for the zero sum."""
-        if self.is_zero:
-            return 0, 1
-        _, c0 = self.terms[0]
-        return (1 if c0 > 0 else -1), self.dominance_onset()
+    @cached_property
+    def exact(self) -> tuple:
+        """The exact sum (terms, den) that claims on this sum are built from."""
+        return _xs((g, 0, c) for g, c in self.terms)
 
 
 @dataclass(frozen=True)
@@ -175,32 +161,332 @@ class RForm:
             return 0.0
         return self.num.leading[1] / self.den.leading[1]
 
-    def sign_onset(self) -> tuple[int, int]:
-        sn, on_n = self.num.sign_onset()
-        sd, on_d = self.den.sign_onset()
-        return sn * sd, max(on_n, on_d)
+    @property
+    def sign(self) -> int:
+        """The eventual sign of num/den."""
+        return self.num.sign * self.den.sign
 
     def is_const(self, c: float) -> bool:
         return self.sub_scalar(c).is_zero
 
-    def abs_decay_onset(self, limit: float, tol: float) -> int:
-        """Certified N with |f(x) - limit| <= tol for all x >= N (finite limit)."""
-        g = self.sub_scalar(limit)
-        if g.is_zero:
-            return 1
-        on = max(g.num.dominance_onset(), g.den.dominance_onset())
-        gamma = g.degree()
-        c = abs(g.lead_coeff())
-        if gamma >= 0:  # should not happen when `limit` really is the limit
-            return ONSET_CAP
-        # beyond `on`: |g(x)| <= 3*c*x^gamma (num within 1.5x lead, den above 0.5x lead)
-        try:
-            x0 = (3.0 * c / tol) ** (-1.0 / gamma)
-        except OverflowError:
-            return ONSET_CAP
-        if not math.isfinite(x0):
-            return ONSET_CAP
-        return min(max(on, math.floor(x0) + 1), ONSET_CAP)
+
+# --------------------------------------------------------------------------
+# claims: the least index from which a closed-form inequality holds
+# --------------------------------------------------------------------------
+
+_MAX_DIGITS = sys.int_info.default_max_str_digits  # str() and json.dumps print ints up to this many digits
+_TOO_FAR = 10**_MAX_DIGITS  # the least index with more digits: onsets from here on are null
+
+# An exact sum is (terms, den): the sum of m/den·x^g·(ln x)^l over terms (g, l, m), with
+# integers m != 0 and den > 0, in descending (g, l) order.  Exponents stay floats while
+# their float sums are exact (TwoSum), and become fractions when not.
+
+
+def _gsum(a, b):
+    if type(a) is float and type(b) is float:
+        s = a + b
+        if not (a - (s - (s - a))) + (b - (s - a)):
+            return s
+    return Fraction(a) + Fraction(b)
+
+
+def _xs(pairs, den: int = 1) -> tuple:
+    """The exact sum of c/den·x^g·(ln x)^l over (g, l, c), descending, with rational c != 0."""
+    pairs = [(g, l, c.as_integer_ratio()) for g, l, c in pairs]
+    k = math.lcm(*(d for _, _, (_, d) in pairs))
+    return tuple((g, l, n * (k // d)) for g, l, (n, d) in pairs), den * k
+
+
+def _add(*sums) -> tuple:
+    den, acc = math.lcm(*(d for _, d in sums)), {}
+    for terms, d in sums:
+        for g, l, m in terms:
+            acc[g, l] = acc.get((g, l), 0) + m * (den // d)
+    return tuple(sorted(((g, l, m) for (g, l), m in acc.items() if m), reverse=True)), den
+
+
+def _times(a, b) -> tuple:
+    return _add(([(_gsum(g, h), l + k, m * n) for g, l, m in a[0] for h, k, n in b[0]], a[1] * b[1]))
+
+
+def _by(a, r) -> tuple:
+    n, d = r.as_integer_ratio()
+    return tuple((g, l, m * n) for g, l, m in a[0] if n), a[1] * d
+
+
+def _deriv(a) -> tuple:
+    return _xs([(_gsum(g, -1.0), 0, Fraction(g) * m) for g, _, m in a[0] if g], a[1])
+
+
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _dec(v) -> Decimal:
+    return Decimal(v) if type(v) is float else Decimal(v.numerator) / Decimal(v.denominator)
+
+
+def _log_exact(x: int, base: Optional[int]) -> Optional[int]:
+    """j with base**j == x, for an integer base, if there is one."""
+    j = round(math.log(x, base)) if base else None
+    return j if j is not None and base**j == x else None
+
+
+class Claim:
+    """The claim s(x) >= 0 (> 0 when ``strict``) at integers x >= 1, where s is the sum of
+    m·x^g·(log x)^l over the terms (g, l, m) of an exact sum, its denominator dropped.  The
+    logarithm is natural, or to the integer ``base``.  ``exact`` is a claim that this one
+    implies, whose onset is wanted: ``least_index`` walks this claim's onset down on it."""
+
+    __slots__ = ("terms", "strict", "base", "exact")
+
+    def __init__(self, terms, strict: bool = False, base: Optional[int] = None, exact: Optional["Claim"] = None):
+        self.terms, self.strict, self.base, self.exact = terms, strict, base, exact
+
+    def sign(self, x: int) -> Optional[int]:
+        """The exact sign of s(x): by integers where every power is in Z/2 and every log is
+        exact, else from floats with an error bound or from decimal enclosures; None when
+        none settles it."""
+        terms = self.terms
+        j = 0 if x == 1 else _log_exact(x, self.base)
+        if j is not None:  # log x = j
+            terms = [(g, 0, m * j**l) for g, l, m in terms if j or not l]
+            if x == 1:
+                return _sgn(sum(m for *_, m in terms))
+        if all(not l and not (2 * g) % 1 for g, l, _ in terms):  # s(x)·x^k = r0 + r1·√x
+            low = min((math.floor(g) for g, _, _ in terms), default=0)
+            r = [0, 0]
+            for g, _, m in terms:
+                r[int(2 * (g - low)) % 2] += m * x ** int(g - low)
+            s0, s1 = _sgn(r[0]), _sgn(r[1])
+            d = r[0] * r[0] - r[1] * r[1] * x
+            return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
+        # floats, scaled by x^-t: each term within (|e| + |t| + 16)·2^-49 of its value
+        u = math.log(x)
+        lf = u / math.log(self.base) if self.base else u
+        fl = [(float(g) * u, l, m) for g, l, m in terms]
+        top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
+        if all(abs(m).bit_length() < 1000 for *_, m in fl):
+            for e, l, m in fl:
+                v = m * math.exp(e - top) * (lf if l else 1.0)
+                tot += v
+                err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000
+            if abs(tot) > err:
+                return _sgn(tot)
+        # correctly rounded ln and exp: each term within (|y| + 12)·10^(1-prec) of its value
+        prec = x.bit_length() * 3 // 10 + 30
+        for prec in (prec, 2 * prec, 4 * prec, 8 * prec):
+            with localcontext(prec=prec):
+                lx = Decimal(x).ln()
+                lf = lx / Decimal(self.base).ln() if self.base else lx
+                tot = err = Decimal(0)
+                for g, l, m in terms:
+                    y = _dec(g) * lx
+                    v = m * y.exp() * (lf if l else 1)
+                    tot, err = tot + v, err + abs(v) * (abs(y) + 12 + len(terms))
+                if abs(tot) > 2 * err * Decimal(10) ** (1 - prec):
+                    return _sgn(tot)
+        return None
+
+    def holds(self, x: int) -> bool:
+        """Whether the claim holds at x; a sign that nothing settles counts as a failure."""
+        s = self.sign(x)
+        return s is not None and (s > 0 or (s == 0 and not self.strict))
+
+
+def _first(pred, a: int, b: Optional[int]) -> Optional[int]:
+    """The least x in (a, b] where ``pred`` holds, given that it fails at a, holds at b (b None:
+    at every large x) and changes once in between, by galloping and bisection; None when that
+    x is past the printable range."""
+    top, lo, step = b or _TOO_FAR, a, 1
+    while not pred(min(lo + step, top)):
+        if lo + step >= top:
+            return None
+        lo, step = lo + step, 2 * step
+    hi = min(lo + step, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+class _Undecided(Exception):
+    """A sign that no enclosure settles, where a root must be located."""
+
+
+def _changes(terms) -> int:
+    return sum((a[2] > 0) != (b[2] > 0) for a, b in zip(terms, terms[1:]))
+
+
+def _rolle(terms) -> tuple:
+    """(x^-g·s)' for g the last exponent of s: where it keeps its sign, s is monotone up to x^g."""
+    return _deriv(([(_gsum(h, -terms[-1][0]), 0, m) for h, _, m in terms], 1))[0]
+
+
+def _cuts(terms, lo: int) -> list[int]:
+    """Integers >= lo such that every real root past lo of the sum without ln x with these
+    terms lies on one of them or between two of them at most 1 apart (by Laguerre's rule of
+    signs and Rolle's theorem on x^-g·s)."""
+    changes = _changes(terms)
+    if not changes:
+        return []
+    q = Claim(terms)
+
+    def sign(x):
+        v = q.sign(x)
+        if v is None:
+            raise _Undecided
+        return v
+
+    pts = sorted({lo, *(_cuts(_rolle(terms), lo) if changes > 1 else ())})
+    out, vals = set(pts), [sign(x) for x in pts] + [_sgn(terms[0][2])]
+    for i, a in enumerate(pts):
+        b = pts[i + 1] if i + 1 < len(pts) else None
+        if vals[i] * vals[i + 1] < 0 and (b is None or b - a > 1):  # one root here
+            t = _first(lambda x: sign(x) != vals[i], a, b)
+            if t is None:
+                raise _Undecided
+            out.update((t - 1, t))
+    return sorted(out)
+
+
+def _failures(q: Claim, lo: int):
+    """The integer intervals (a, b) past lo where q fails, from the top down; b is None when
+    it fails at arbitrarily large x or past the printable range."""
+    terms = q.terms
+    if not terms or terms[0][2] < 0:
+        if q.strict or terms:
+            yield lo, None
+        return
+    if all(m > 0 for *_, m in terms) and not terms[-1][1]:
+        return  # no sign change: s > 0 at every x >= 1
+    if len(terms) == 2 and not terms[1][1]:  # m0·x^g0 >= −m1·x^g1: x^p >= R^q, decided in integers
+        p, d = (Fraction(terms[0][0]) - Fraction(terms[1][0])).as_integer_ratio()
+        a, b = Fraction(-terms[1][2], terms[0][2]).as_integer_ratio()
+        if d * max(a.bit_length(), b.bit_length()) < 4 * _MAX_DIGITS:
+            need = a**d // b**d + 1 if q.strict else -(-(a**d) // b**d)
+            t = _root(need, p)
+            if t**p < need:
+                t += 1
+            if t > lo:
+                yield lo, t - 1
+            return
+    pure = tuple((g, 0, m) for g, l, m in terms if not l)
+    if len(pure) == len(terms):
+        cuts = _cuts(_rolle(terms), lo) if _changes(terms) > 1 else []
+    else:  # s = A + B·ln x, and x·B²·(A/B + ln x)' = x(A'B − AB') + B²
+        ln = (tuple((g, 0, m) for g, l, m in terms if l), 1)
+        turn = _add(_times(_deriv((pure, 1)), ln), _by(_times((pure, 1), _deriv(ln)), -1))
+        cuts = _cuts(ln[0], lo) + _cuts(_add(_times(turn, (((1.0, 0, 1),), 1)), _times(ln, ln))[0], lo)
+    pts = sorted({lo, *cuts})
+    above = True  # q holds at every large x
+    for i in range(len(pts) - 1, -1, -1):
+        a, b = pts[i], (pts[i + 1] if i + 1 < len(pts) else None)
+        here = q.holds(a)
+        if not here:
+            t = b if not above else _first(q.holds, a, b)
+            yield a, t and (t if not above else t - 1)
+            if t is None:
+                return
+        elif not above:
+            yield _first(lambda x: not q.holds(x), a, b), b
+        above = here
+
+
+def _root(x: int, b: int) -> int:
+    """The largest integer r >= 0 with r**b <= x."""
+    if x < 2 or b == 1:
+        return max(x, 0)
+    r = 1 << -(-x.bit_length() // b)  # at least the root; Newton's steps descend to it
+    while True:
+        s = ((b - 1) * r + x // r ** (b - 1)) // b
+        if s >= r:
+            return r
+        r = s
+
+
+def block_onset(k: Optional[int]) -> Optional[int]:
+    """The first index of block k, None when it has more than ``_MAX_DIGITS`` digits."""
+    if k is None or (k > 2 and (k - 1) * math.log10(k - 1) > _MAX_DIGITS):
+        return None
+    n = E.block_start(k)
+    return n if n < _TOO_FAR else None
+
+
+def least_index(claims, var: Optional[str], floor: Optional[int], pset: Optional[Periodic] = None) -> Optional[int]:
+    """The least index N >= ``floor`` such that every claim holds at x = n (``var`` n or None)
+    or at x = a_n (``var`` a) for every index n >= N in ``pset`` (default: every index).
+
+    The claims are decided exactly; a sign that no enclosure settles counts as a failure, so
+    the onset can only come out later than the least one, never earlier.  None when ``floor``
+    is None or no index of at most ``_MAX_DIGITS`` digits is one: the claim fails at
+    arbitrarily large indices, its onset is too large to print, or a sign that places a root
+    is settled by no enclosure.
+    """
+    if floor is None:
+        return None
+    block = var == VAR_A
+    onset = floor
+    try:
+        for q in claims:
+            start = floor
+            for a, b in _failures(q, E.block_value(floor) if block else floor):
+                if block and b is not None:
+                    a, b = E.block_start(a), block_onset(b + 1)
+                    b = b and b - 1
+                if b is None:
+                    return None
+                m = max((b - (b - r) % pset.modulus for r in pset.residues), default=0) if pset else b
+                if m >= max(a, floor):
+                    start = m + 1
+                    break
+            # q implies its exact form, which can tie at zero only where its log is exact
+            while q.exact and not block and start > floor and _log_exact(start - 1, q.exact.base) is not None:
+                if not q.exact.holds(start - 1):
+                    break
+                start -= 1
+            onset = max(onset, start)
+    except _Undecided:
+        return None
+    return onset if onset < _TOO_FAR else None
+
+
+def _later(*onsets) -> Optional[int]:
+    """The latest of some onsets, None (no printable index) when any is None."""
+    return None if None in onsets else max(onsets)
+
+
+def at(onset: Optional[int]) -> str:
+    """An onset as statements print it; a null onset claims no index."""
+    return str(onset) if onset is not None else "(no printable index)"
+
+
+def form_claims(f: RForm, scale=1, extra=()) -> tuple[Claim, Claim]:
+    """scale·f + extra >= 0, for a rational ``scale`` and descending terms ``extra``
+    (c·x^g·(ln x)^l as (g, l, c)): the numerator scale·num + extra·den keeping the sign
+    of den, and den keeping it strictly."""
+    sd = f.den.sign
+    if not extra and all(c * scale * sd > 0 for _, c in f.num.terms) and all(c * sd > 0 for _, c in f.den.terms):
+        return ()  # no coefficient sign change: both hold at every x >= 1
+    den = _by(f.den.exact, sd)
+    num = _by(f.num.exact, scale * sd)
+    if extra:
+        num = _add(num, _times(_xs(extra), den))
+    return Claim(num[0]), Claim(den[0], strict=True)
+
+
+def band_claims(f: RForm, centre, tol) -> tuple[Claim, Claim, Claim]:
+    """|f − centre| <= tol: tol·den ∓ (num − centre·den) >= 0 with den's sign, and den
+    keeping it strictly."""
+    den = _by(f.den.exact, f.den.sign)
+    g = _add(_by(f.num.exact, f.den.sign), _by(den, -centre))
+    return Claim(_add(_by(den, tol), _by(g, -1))[0]), Claim(_add(_by(den, tol), g)[0]), Claim(den[0], strict=True)
+
+
+def gap_claim(f: RForm, eps) -> Claim:
+    """|f| >= eps: num² − eps²·den² >= 0 (an infinite value where den = 0 meets it)."""
+    num, den = f.num.exact, f.den.exact
+    return Claim(_add(_times(num, num), _by(_times(den, den), -eps * eps))[0])
 
 
 # --------------------------------------------------------------------------
@@ -213,11 +499,12 @@ VAR_A = "a"
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """f(n) = form(x) for n >= onset, where x = n or x = a_n; or f ≡ ∞."""
+    """f(n) = form(x) for n >= onset, where x = n or x = a_n; or f ≡ ∞.  The
+    onset is None when no printable index is one."""
 
     form: Optional[RForm]  # None means identically infinite
     var: Optional[str]  # None for constants
-    onset: int = 1
+    onset: Optional[int] = 1
 
     @property
     def is_inf(self) -> bool:
@@ -234,24 +521,11 @@ class ClosedForm:
         return INF if self.is_inf else self.form.eval(x)
 
 
-def _onset_n(x_onset: int, var: Optional[str]) -> int:
-    """Convert an onset in the asymptotic variable to an index onset.
-
-    For block-variable forms the claim 'for all a_n >= k0' starts holding at
-    the first index of block k0.
-    """
-    if var != VAR_A:
-        return x_onset
-    if x_onset > 300:  # block start would be astronomically large
-        return ONSET_CAP
-    return E.block_start(max(1, int(x_onset)))
-
-
-def _cf_inf(onset: int = 1) -> ClosedForm:
+def _cf_inf(onset: Optional[int] = 1) -> ClosedForm:
     return ClosedForm(None, None, onset)
 
 
-def _cf(form: RForm, var: Optional[str], onset: int = 1) -> ClosedForm:
+def _cf(form: RForm, var: Optional[str], onset: Optional[int] = 1) -> ClosedForm:
     if form.is_zero:
         var = None
     return ClosedForm(form, var, onset)
@@ -280,7 +554,9 @@ def closed_form(core) -> Optional[ClosedForm]:
         if core.is_identically_one():
             return _cf(RForm.const(1.0), None)
         form = RForm.from_psum(PSum.make([(0.0, core.limit), (-core.decay, core.coeff)]))
-        return _cf(form, VAR_N, core.clamp_onset())
+        # where the form is >= 1, the clamp is inactive; it is everywhere for coeff >= 0
+        onset = least_index(form_claims(form, 1, ((0.0, 0, -1),)), VAR_N, 1) if core.coeff < 0 else 1
+        return _cf(form, VAR_N, onset)
     if isinstance(core, E.Linear):
         return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
     if isinstance(core, E.BlockRepeat):
@@ -292,7 +568,9 @@ def closed_form(core) -> Optional[ClosedForm]:
 
 
 def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
-    """Closed form of a ``kind`` combinator whose operands have the closed forms ``cfs``."""
+    """Closed form of a ``kind`` combinator whose operands have the closed forms ``cfs``;
+    for |p − q|, r_n and the Nakano exponent it holds from the least index on which the
+    difference it is built from keeps its eventual sign."""
     if cfs[0] is None or cfs[-1] is None:  # one operand or two
         return None
     if kind is E.Recip:
@@ -304,7 +582,7 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
         return _cf(cf.form.recip(), cf.var, cf.onset)
 
     a, b = cfs
-    base = max(a.onset, b.onset)
+    base = _later(a.onset, b.onset)
     if kind is E.RnOf:  # 1/r_n = 1/q_n − 1/p_n where positive, with 1/∞ = 0
         if not a.is_inf and a.form.is_zero:  # 1/q - 1/0 < 0, so r_n = ∞ as in eval
             return _cf_inf(base)
@@ -328,8 +606,10 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
     d = x.sub(y)
     if d.is_zero:
         return _cf(RForm.const(0.0), None, base) if kind is E.AbsDiff else _cf_inf(base)
-    sign, s_onset = d.sign_onset()
-    onset = max(base, _onset_n(s_onset, var))
+    sign = d.sign  # 0 only for a zero denominator: d is infinite
+    if sign and var is not None:  # d keeps its sign from here on; a constant d keeps it everywhere
+        base = least_index(form_claims(d, sign), var, base)
+    onset = base
     if kind is E.RnOf:
         return _cf_inf(onset) if sign < 0 else _cf(d.recip(), var, onset)
     absd = d if sign >= 0 else d.neg()
@@ -504,6 +784,8 @@ class Analysis:
 
     @cached_property
     def profile(self) -> AsymptoticProfile:
+        """Limit enclosures per branch; the onset is the least index from which every
+        branch with a finite limit stays within ``PROFILE_TOL`` of it."""
         lims, onset = [], 1
         for b in self.branches:
             cf = b.form
@@ -511,11 +793,11 @@ class Analysis:
                 lim, b_onset = _interval_range(b.core), b.onset
             else:
                 val = cf.limit()
-                lim, b_onset = Bounds.exactly(val), max(b.onset, cf.onset)
-                if val != INF and val != -INF:
-                    b_onset = max(b_onset, _onset_n(cf.form.abs_decay_onset(val, PROFILE_TOL), cf.var))
+                lim, b_onset = Bounds.exactly(val), _later(b.onset, cf.onset)
+                if val != INF and val != -INF and cf.var is not None:  # within PROFILE_TOL of the limit
+                    b_onset = least_index(band_claims(cf.form, val, PROFILE_TOL), cf.var, b_onset, b.pset)
             lims.append(lim)
-            onset = max(onset, b_onset)
+            onset = _later(onset, b_onset)
 
         lo, hi = [x.lo for x in lims], [x.hi for x in lims]
         liminf = Bounds(min(lo, default=INF), min(hi, default=INF))
@@ -555,21 +837,6 @@ class GapResult(Record):
     note: str = ""
 
 
-def _refine_onset(seq, onset: int, predicate) -> int:
-    """Shrink a certified onset by checking the claim at up to 10^5 indices below it."""
-    if onset <= 1 or onset > 10**6:
-        return onset
-    start = max(1, onset - 100_000)
-    vals = seq.eval_range(start, onset)
-    ok = predicate(vals)
-    bad = np.nonzero(~ok)[0]
-    if bad.size:
-        return start + int(bad[-1]) + 1
-    if start == 1:
-        return 1
-    return start  # window exhausted; keep the certified bound reached
-
-
 class SignKind(enum.Enum):
     POSITIVE = "positive"  # liminf (p_n - q_n) > 0 on the branch
     ZERO = "zero"
@@ -579,41 +846,65 @@ class SignKind(enum.Enum):
 
 @dataclass(frozen=True)
 class BranchGap:
-    """p_n − q_n on one row: its sign with ε and onset, and the onset and
-    note of the matching claim on |p_n − q_n| (none when undecided)."""
+    """p_n − q_n on one row: its sign with ε and a note, and what the claims on
+    it read: the difference's closed form d (None when infinite or undecided),
+    its variable, and the row's floor and set.  ``start`` is the onset of
+    p_n − q_n >= ε (<= −ε when negative) where that needs no claim."""
 
     kind: SignKind
     epsilon: Optional[float] = None
-    onset: int = 1
-    abs_onset: Optional[int] = None
     note: str = ""
+    d: Optional[RForm] = None
+    var: Optional[str] = None
+    floor: Optional[int] = 1
+    pset: Optional[Periodic] = None
+    start: Optional[int] = 1
+
+    @cached_property
+    def onset(self) -> Optional[int]:
+        """The onset of p_n − q_n >= ε (<= −ε when negative)."""
+        if self.d is None or self.epsilon is None:
+            return self.start
+        sign = 1 if self.kind is SignKind.POSITIVE else -1
+        return least_index(form_claims(self.d, sign, ((0.0, 0, -self.epsilon),)), self.var, self.floor, self.pset)
+
+    @property
+    def abs_onset(self) -> Optional[int]:
+        """For a vanishing gap: the onset of |p_n − q_n| = ±(p_n − q_n), its closed form."""
+        if self.d is None or not self.d.sign:
+            return self.floor
+        return least_index(form_claims(self.d, self.d.sign), self.var, self.floor, self.pset)
+
+    def abs_gap_onset(self, eps: float) -> Optional[int]:
+        """The onset of |p_n − q_n| >= eps on the row."""
+        if self.d is None:
+            return self.floor
+        return least_index((gap_claim(self.d, eps),), self.var, self.floor, self.pset)
 
 
-def _branch_gap(a: Optional[ClosedForm], b: Optional[ClosedForm], onset: int) -> BranchGap:
-    """The gap on a row whose p and q have the closed forms ``a`` and ``b``:
-    one subtraction, one sign, one margin, read by both gap verdicts."""
+def _branch_gap(row) -> BranchGap:
+    """The gap on a row (pset, (p branch, q branch), onset): one subtraction, one
+    sign, one margin, read by both gap verdicts."""
+    pset, (pb, qb), onset = row
+    a, b = pb.form, qb.form
     ok, var = (False, None) if a is None or b is None else _join_var(a.var, b.var)
     if not ok:
-        return BranchGap(SignKind.UNKNOWN, onset=onset, note="branch mixes n and a_n")
-    base = max(onset, a.onset, b.onset)
+        return BranchGap(SignKind.UNKNOWN, note="branch mixes n and a_n", start=onset)
+    base = _later(onset, a.onset, b.onset)
     if a.is_inf and b.is_inf:
-        return BranchGap(SignKind.ZERO, None, onset, base, "|p_n - q_n| -> 0")
+        return BranchGap(SignKind.ZERO, None, "|p_n - q_n| -> 0", floor=base, start=onset)
     if a.is_inf or b.is_inf:
         kind, side = (SignKind.POSITIVE, a) if a.is_inf else (SignKind.NEGATIVE, b)
-        return BranchGap(kind, 1.0, max(onset, side.onset), base, "gap is infinite")
+        return BranchGap(kind, 1.0, "gap is infinite", floor=base, start=_later(onset, side.onset))
     d = a.form.sub(b.form)
     limit = d.limit()
-    abs_onset = base if d.is_zero else max(base, _onset_n(d.sign_onset()[1], var))  # |d| = ±d from there
     if limit == 0.0:
-        return BranchGap(SignKind.ZERO, None, base, abs_onset, "|p_n - q_n| -> 0")
+        return BranchGap(SignKind.ZERO, None, "|p_n - q_n| -> 0", d, var, base, pset, base)
     kind, size = (SignKind.POSITIVE, limit) if limit > 0 else (SignKind.NEGATIVE, -limit)
-    # |d| >= ε from m_onset: ε = 1/2 for an infinite limit, the limit for a constant d, else half of it
+    # ε = 1/2 for an infinite limit, the limit for a constant d, else half of it
     eps = 0.5 if size == INF else (size if d.is_const(limit) else size / 2.0)
-    m_onset = max(base, _onset_n((d if limit > 0 else d.neg()).sub_scalar(eps).sign_onset()[1], var))
-    if eps == size:  # a constant gap holds wherever the branch's closed form does
-        return BranchGap(kind, eps, m_onset, abs_onset, "gap is constant")
-    note = "gap diverges" if size == INF else f"gap -> {size:g}"
-    return BranchGap(kind, eps, m_onset, max(abs_onset, m_onset), note)
+    note = "gap is constant" if eps == size else "gap diverges" if size == INF else f"gap -> {size:g}"
+    return BranchGap(kind, eps, note, d, var, base, pset)
 
 
 class PairAnalysis:
@@ -637,18 +928,22 @@ class PairAnalysis:
     @cached_property
     def branch_gaps(self) -> list[BranchGap]:
         """Per row, the sign of liminf/limsup of p_n − q_n and the |p_n − q_n| claim."""
-        return [_branch_gap(pb.form, qb.form, onset) for _, (pb, qb), onset in self.rows]
+        return [_branch_gap(row) for row in self.rows]
 
     @cached_property
     def liminf_abs_gap(self) -> GapResult:
+        """A positive gap holds |p_n − q_n| >= ε, the least margin of the rows, from the
+        least index on which every row does; a vanishing one names the earliest onset of a
+        row's |p_n − q_n| closed form."""
         gaps = self.branch_gaps
         zeros = [g for g in gaps if g.kind is SignKind.ZERO]
         if zeros:
-            first = min(zeros, key=lambda g: g.abs_onset)
-            return GapResult(GapKind.ZERO, onset=first.abs_onset, note=first.note)
-        if gaps and all(g.abs_onset is not None for g in gaps):
-            eps, onset = min(g.epsilon for g in gaps), max(g.abs_onset for g in gaps)
-            onset = _refine_onset(E.AbsDiff(self.p.seq, self.q.seq), onset, lambda vals: vals >= eps)
+            onsets = [g.abs_onset for g in zeros]
+            first = min(range(len(zeros)), key=lambda i: (onsets[i] is None, onsets[i] or 0))
+            return GapResult(GapKind.ZERO, onset=onsets[first], note=zeros[first].note)
+        if gaps and all(g.kind is not SignKind.UNKNOWN for g in gaps):
+            eps = min(g.epsilon for g in gaps)  # |p_n − q_n| >= eps on every row from the latest onset
+            onset = _later(*(g.abs_gap_onset(eps) for g in gaps))
             return GapResult(GapKind.POSITIVE, eps, onset, "; ".join(sorted({g.note for g in gaps})))
         return GapResult(GapKind.UNKNOWN, note="; ".join(g.note for g in gaps if g.note))
 
@@ -659,10 +954,11 @@ def liminf_abs_gap(p, q) -> GapResult:
 
 
 def signed_liminf_gap(p, q) -> GapResult:
-    """Liminf of the signed difference p_n - q_n compared against 0."""
+    """Liminf of the signed difference p_n - q_n compared against 0; a positive one holds
+    p_n − q_n >= ε from the latest of the rows' onsets, each for its own margin."""
     gaps = PairAnalysis(p, q).branch_gaps
     if gaps and all(g.kind is SignKind.POSITIVE for g in gaps):
-        eps, onset = min(g.epsilon for g in gaps), max(g.onset for g in gaps)
+        eps, onset = min(g.epsilon for g in gaps), _later(*(g.onset for g in gaps))
         return GapResult(GapKind.POSITIVE, eps, onset, "p_n - q_n stays above a positive bound")
     if any(g.kind in (SignKind.ZERO, SignKind.NEGATIVE) for g in gaps):
         return GapResult(GapKind.ZERO, note="signed difference does not stay positive")

@@ -19,6 +19,7 @@ import sys
 from typing import Optional
 
 from . import criteria, witness as witness_mod
+from ._asymptotics import at
 from .dsl import parse_expression
 from .errors import (
     HorizonExhausted,
@@ -115,7 +116,7 @@ def _cmd_compare(args) -> int:
         return EXIT_OK
     _print_verdicts(report)
     gap = report.gap
-    eps = f" (epsilon >= {gap.epsilon:g} from n = {gap.onset})" if gap.epsilon is not None else ""
+    eps = f" (epsilon >= {gap.epsilon:g} from n = {at(gap.onset)})" if gap.epsilon is not None else ""
     print(f"gap liminf |p_n - q_n|: {gap.kind.value}{eps}")
     for name, wit in report.witnesses.items():
         print(wit.to_text())

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import exponents as E
-from ._asymptotics import Analysis, AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind
+from ._asymptotics import Analysis, AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind, at
 from .errors import HorizonExhausted, InternalInconsistency
 from .series import _exists_alpha, decide_branch
 from .verdicts import (
@@ -135,10 +135,12 @@ def _spaces_equal(a: PairAnalysis) -> Verdict:
 def inclusion_holds(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
     """Three-valued inclusion test ℓ_{p_n} ⊆ ℓ_{q_n}.
 
-    Yes when the all-ones sequence lies in the complementary-exponent space;
-    No when on some infinite index family p exceeds q by a margin while the
-    restricted spaces are certified distinct (the pointwise-smaller space
-    then sits strictly inside, contradicting inclusion); Unknown otherwise.
+    By Thm 1.3 the inclusion holds exactly when the all-ones sequence lies in
+    the complementary-exponent space, so that test's Yes and No both decide it.
+    A No also follows when on some infinite index family p exceeds q by a
+    margin while the restricted spaces are certified distinct (the
+    pointwise-smaller space then sits strictly inside); that certificate is
+    preferred where both exist.  Unknown otherwise.
     """
     return _inclusion_holds(PairAnalysis(p, q))
 
@@ -153,11 +155,13 @@ def _inclusion_holds(a: PairAnalysis) -> Verdict:
         ans, nak_cert = decide_branch(Branch(nak.pset, nak.core, g.onset, nak.form), None)
         if ans is Answer.NO:
             cert = GapEvidence(
-                f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {g.onset} "
+                f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {at(g.onset)} "
                 "and the restricted spaces are distinct",
                 {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak_cert.to_json() if nak_cert else None},
             )
             return Verdict(Answer.NO, cert, NAKANO_LEMMA)
+    if v.answer is Answer.NO:
+        return Verdict(Answer.NO, v.certificate, INCLUSION_TEST)
     return Verdict(Answer.UNKNOWN, v.certificate, "")
 
 
@@ -182,7 +186,7 @@ def _strictly_singular(a: PairAnalysis, inclusion: Verdict) -> Verdict:
     if gap.kind is GapKind.POSITIVE:
         citation = SS_UNBOUNDED_TARGET if a.q.profile.bounded_above is Answer.NO else SS_BOUNDED
         ev = GapEvidence(
-            f"limsup p_n < ∞ and |p_n − q_n| >= {gap.epsilon:g} for n >= {gap.onset}", gap.to_json()
+            f"limsup p_n < ∞ and |p_n − q_n| >= {gap.epsilon:g} for n >= {at(gap.onset)}", gap.to_json()
         )
         return Verdict(Answer.YES, ev, citation)
     if gap.kind is GapKind.ZERO:

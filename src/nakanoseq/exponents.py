@@ -180,14 +180,6 @@ class RationalDrift(ExponentSequence, kind="rational_drift"):
     def _eval_array(self, ns):
         return np.maximum(1.0, self.limit + self.coeff * ns ** (-self.decay))
 
-    def clamp_onset(self) -> int:
-        """Index beyond which the clamp at 1 is inactive."""
-        if self.coeff >= 0:
-            return 1
-        if self.limit == 1.0:
-            return 1  # clamped everywhere: the sequence is identically 1
-        n = (-self.coeff / (self.limit - 1)) ** (1.0 / self.decay)
-        return max(1, math.ceil(n))
 
     def is_identically_one(self) -> bool:
         return self.limit == 1.0 and self.coeff < 0

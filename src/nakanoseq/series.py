@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -25,12 +28,15 @@ import numpy as np
 from . import exponents as E
 from ._asymptotics import (
     Branch,
+    Claim,
     ClosedForm,
-    PSum,
-    RForm,
     VAR_A,
     VAR_N,
-    _onset_n,
+    _later,
+    at,
+    block_onset,
+    form_claims,
+    least_index,
     normalize,
 )
 from .errors import SemanticError
@@ -127,113 +133,112 @@ def _pset_json(pset: Periodic) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _refine_k_onset(g, k0: int, floor: int = 2) -> int:
-    """Minimal k <= k0 from which g(k) >= 0 stays true (g eventually >= 0)."""
-    if k0 > 10**6:  # too far to walk back; keep the certified bound
-        return k0
-    best = k0
-    for k in range(k0 - 1, floor - 1, -1):
-        if g(k) >= 0:
-            best = k
-        else:
-            break
-    return best
+@lru_cache(maxsize=None)
+def _ln(v: float, digits: int = 30) -> tuple[Fraction, Fraction]:
+    """Fractions below and above ln v, from a correctly rounded logarithm to ``digits`` digits."""
+    with localcontext(prec=digits):
+        x = Fraction(Decimal(v).ln())
+    return x - abs(x) / 10 ** (digits - 2), x + abs(x) / 10 ** (digits - 2)
+
+
+def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Optional[int] = 2) -> Optional[int]:
+    """The onset of sign·f(x)·|ln α| + Σ c·x^g·ln x over ``ln_terms`` (g, c) +
+    Σ c·x^g·ln v over ``consts`` (g, c, v) >= 0 in x = n, for f = ``form``.
+
+    The claims passed to ``least_index`` bound each logarithm of a constant so that
+    they imply this one, to about as many digits as their onset has, so their onset
+    is this claim's but for a tie.  For α = 2^-k the claim divided by |ln α| is
+    exact at powers of 2^k; where its constants are rational, it rides along as
+    the numerator's exact form, on which ``least_index`` walks over such a tie."""
+    k = round(-math.log2(alpha))
+    exact = None
+    if k >= 1 and alpha == 2.0**-k and all(math.log2(v).is_integer() for _, _, v in consts):
+        terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
+        exact = Claim(form_claims(form, sign, sorted(terms, reverse=True))[0].terms, base=2**k)
+    digits = 30
+    while True:
+        lo, hi = _ln(alpha, digits)  # ln α < 0
+        terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * _ln(v, digits)[c < 0]) for g, c, v in consts]
+        num, den = form_claims(form, sign * (-hi if sign > 0 else -lo), sorted(terms, reverse=True))
+        num.exact = exact
+        onset = least_index((num, den), VAR_N, floor)
+        if onset is None or onset.bit_length() * 3 // 10 + 20 < digits:
+            return onset
+        digits = onset.bit_length() * 6 // 10 + 40
 
 
 def _n_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
-    """Comparison certificate for Σ α^{f(n)} when f is rational in n, f -> ∞."""
+    """Comparison certificate for Σ α^{f(n)} when f is rational in n, f -> ∞: f(n) >= c·n
+    (order >= 1) or f(n)·|ln α| >= 2·ln n (order < 1) from the least index on."""
     form = cf.form
     gamma = form.degree()
-    log_a = -math.log(alpha)
+    floor = _later(base_onset, cf.onset)
     if gamma >= 1.0:
         c = form.lead_coeff() / 2.0 if gamma == 1.0 else 1.0
-        target = RForm.from_psum(PSum.make([(1.0, c)]))
-        _, onset = form.sub(target).sign_onset()
-        onset = max(onset, base_onset, cf.onset)
-        onset = _refine_k_onset(lambda n: form.eval(n) - c * n, onset, floor=max(2, base_onset, cf.onset))
+        onset = least_index(form_claims(form, 1, ((1.0, 0, -c),)), VAR_N, floor)
         ratio = alpha**c
         return GeometricComparison(
-            ratio, 1.0, onset, statement=f"exponent >= {c:g}·n from n = {onset}, so terms <= ({ratio:g})^n"
+            ratio, 1.0, onset, statement=f"exponent >= {c:g}·n from n = {at(onset)}, so terms <= ({ratio:g})^n"
         )
-    # 0 < gamma < 1: dominate by n^-2 using ln n <= n^δ/δ
-    delta = gamma / 2.0
-    coef = 2.0 / (log_a * delta)
-    target = RForm.from_psum(PSum.make([(delta, coef)]))
-    _, onset = form.sub(target).sign_onset()
-    onset = max(onset, base_onset, cf.onset, 2)
-    onset = _refine_k_onset(
-        lambda n: form.eval(n) - 2.0 * math.log(n) / log_a, onset, floor=max(2, base_onset, cf.onset)
-    )
+    # 0 < gamma < 1: f(n)·|ln α| >= 2·ln n makes the terms at most n^-2
+    onset = _log_onset(form, alpha, 1, ((0.0, -2),), floor=floor)
     return PSeriesComparison(
-        1.0, 2.0, onset, statement=f"exponent >= 2·ln n/|ln α| from n = {onset}, so terms <= n^-2"
+        1.0, 2.0, onset, statement=f"exponent >= 2·ln n/|ln α| from n = {at(onset)}, so terms <= n^-2"
     )
 
 
 def _block_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
-    """Block totals k^k·α^{f(k)} <= 2^{-k} for f rational in a_n of order > 1."""
-    form = cf.form
-    gamma = form.degree()
-    log_a = -math.log(alpha)
-    excess = (gamma - 1.0) / 2.0
-    target = RForm.from_psum(PSum.make([(1.0 + excess, 2.0 / (excess * log_a)), (1.0, math.log(2.0) / log_a)]))
-    _, k0 = form.sub(target).sign_onset()
-    k0 = _refine_k_onset(lambda k: form.eval(k) * log_a - k * math.log(k) - k * math.log(2.0), max(k0, 2))
-    n_onset = max(_onset_n(k0, VAR_A), base_onset, cf.onset)
+    """Block totals k^k·α^{f(k)} <= 2^{-k} for f rational in a_n of order > 1:
+    f(k)·|ln α| >= k·ln k + k·ln 2 from block k0 >= 2 on."""
+    k0 = _log_onset(cf.form, alpha, 1, ((1.0, -1),), ((1.0, -1, 2.0),))
+    n_onset = _later(block_onset(k0), base_onset, cf.onset)
+    index = f" (index {n_onset})" if n_onset is not None else ""
     return GeometricComparison(
         0.5,
         1.0,
         k0,
         per_block=True,
-        statement=f"block totals k^k·α^f(k) <= 2^-k from block {k0} (index {n_onset})",
+        statement=f"block totals k^k·α^f(k) <= 2^-k from block {at(k0)}{index}",
     )
 
 
 def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic):
     """Block totals stay >= 1 from some block on, for every α: the block
-    exponent has growth order <= 1."""
-    form = cf.form
-    log_a = -math.log(alpha)
+    exponent has growth order <= 1.  Block k has k^k indices, at least
+    k^k/(2m) of them in a proper subset, so k·ln k >= |ln α|·f(k) + ln(2m)
+    suffices there, and k·ln k >= |ln α|·f(k) on every index."""
     m = max(1, pset.modulus // max(1, len(pset.residues)))
-    slack = math.log(2.0 * m)
-    gamma = form.degree()
-    c = (form.lead_coeff() * log_a if gamma == 1.0 else 1.0) + 1.0
-    target = form.mul(RForm.const(log_a)).add(RForm.const(slack)).sub(
-        RForm.from_psum(PSum.make([(1.0, c)]))
-    )
-    # need k·ln k >= c·k >= |ln α|·f(k) + ln(2m): k >= e^c and the power-sum onset
-    _, k1 = target.neg().sign_onset()
-    k0 = max(k1, math.ceil(math.exp(c)), 2)
-
-    def g(k):
-        return k * math.log(k) - form.eval(k) * log_a - slack
-
-    k0 = _refine_k_onset(g, k0)
+    slack = ((0.0, -1, 2.0 * m),) if len(pset.residues) < pset.modulus else ()
+    k0 = _log_onset(cf.form, alpha, -1, ((1.0, 1),), slack)
     return DivergenceByTerms(
         1.0,
         k0,
         per_block=True,
-        statement=f"for every α in (0,1) the block totals eventually stay >= 1; at α = {alpha:g} from block {k0}",
+        statement=f"for every α in (0,1) the block totals eventually stay >= 1; at α = {alpha:g} from block {at(k0)}",
     )
 
 
 def _bounded_divergence_cert(cf: ClosedForm, alpha: Optional[float], base_onset: int):
-    """Exponent has a finite limit on the branch: terms never vanish."""
+    """Exponent has a finite limit on the branch, so terms never vanish: it stays at most
+    the limit + 1 from the least index on."""
     limit = cf.limit()
     cap = limit + 1.0
-    onset = max(base_onset, cf.onset, _onset_n(cf.form.abs_decay_onset(limit, 1.0), cf.var))
+    onset = _later(base_onset, cf.onset)
+    if cf.var is not None:  # a constant exponent stays below its cap everywhere
+        onset = least_index(form_claims(cf.form, -1, ((0.0, 0, cap),)), cf.var, onset)
     ref = alpha if alpha is not None else 0.5
     scope = f"α = {alpha:g}" if alpha is not None else "every α in (0,1)"
     return DivergenceByTerms(
         ref**cap,
         onset,
         exponent_cap=cap,
-        statement=f"exponent <= {cap:g} on an infinite index family from {onset}; for {scope} terms >= α^{cap:g}",
+        statement=f"exponent <= {cap:g} on an infinite index family from {at(onset)}; for {scope} terms >= α^{cap:g}",
     )
 
 
 def _trivial_yes_cert(onset: int):
     return GeometricComparison(
-        0.5, 0.0, onset, statement=f"all exponents infinite from index {onset}; only finitely many nonzero terms"
+        0.5, 0.0, onset, statement=f"all exponents infinite from index {at(onset)}; only finitely many nonzero terms"
     )
 
 
@@ -248,7 +253,7 @@ def decide_branch(branch: Branch, alpha: Optional[float]) -> tuple[Answer, objec
     if cf is None:
         return Answer.UNKNOWN, None
     if cf.is_inf:
-        return Answer.YES, _trivial_yes_cert(max(branch.onset, cf.onset))
+        return Answer.YES, _trivial_yes_cert(_later(branch.onset, cf.onset))
     limit = cf.limit()
     if limit < 0:
         raise SemanticError("series exponent is certified negative; terms would not be in (0, ∞]")
@@ -370,7 +375,7 @@ def _block_branches(exponent: E.ExponentSequence) -> Optional[list[Branch]]:
     branches = normalize(exponent)
     for b in branches:
         cf = b.form
-        if cf is None:
+        if cf is None or cf.onset is None:
             return None
         if not cf.is_inf and cf.var == VAR_N:
             lim = cf.form.limit()

@@ -93,6 +93,14 @@ def test_spaces_equal_examples():
     assert spaces_equal(BlockRepeat(), Const(INF)).answer is Answer.NO
 
 
+def test_spaces_equal_onset_under_a_limit_no_float_holds():
+    # seed-88 pair 22: the Nakano exponent tends to 55/18, and it stays <= 55/18 + 1 from n = 1
+    p, q = parse_expression("1 + recip(1.5 + 1/n^2) + 2"), parse_expression("1 + recip(1.5 + 1/n^2)")
+    v = spaces_equal(p, q)
+    assert (v.answer, v.certificate.onset) == (Answer.NO, 1)
+    assert "on an infinite index family from 1;" in v.certificate.statement
+
+
 def test_spaces_equal_citation():
     v = spaces_equal(Const(2), Const(3))
     assert v.answer is Answer.NO
@@ -115,6 +123,16 @@ def test_inclusion_examples():
     assert inclusion_holds(Const(2), Const(2)).answer is Answer.YES
     assert inclusion_holds(Const(3), Const(2)).answer is Answer.NO
     assert inclusion_holds(Const(2), Const(3)).answer is Answer.YES  # pointwise p <= q
+
+
+def test_inclusion_no_from_one_in_lrn():
+    # 1 ∈ ℓ_{r_n} decides the inclusion both ways (Thm 1.3); its No certifies divergent block totals
+    report = full_report(parse_expression("10 + recip(blocks)"), Const(10), witness_count=0)
+    v = report.inclusion_holds
+    assert (v.answer, v.citation, v.certificate.json_kind) == (Answer.NO, "Thm 1.3", "divergence_by_terms")
+    assert v.certificate.per_block and "block totals eventually stay >= 1" in v.certificate.statement
+    for gated in (report.strictly_singular, report.weakly_compact, report.compact):
+        assert (gated.answer, gated.citation) == (Answer.UNKNOWN, NOT_APPLICABLE)
 
 
 def test_inclusion_reverse_gap_needs_distinct_spaces():

@@ -35,6 +35,7 @@ from nakanoseq import (
     block_start,
     block_value,
     liminf_abs_gap,
+    parse_expression,
     profile,
     signed_liminf_gap,
 )
@@ -221,6 +222,19 @@ def test_profile_onset_soundness():
     assert np.all(np.abs(vals - 2.0) <= 1e-9 * 1.01)
 
 
+@pytest.mark.parametrize(
+    "expr, onset",
+    [
+        ("2 + 2/n^0.5", 4 * 10**18),  # 2/√n <= 10^-9 first at n = 4·10^18
+        ("1.5 - 2/n^0.5", 4 * 10**18),
+        ("2 + 1/n^0.5", 10**18),
+        ("2 + recip(blocks)", None),  # 1/a_n <= 10^-9 only from block 10^9, whose first index has no print
+    ],
+)
+def test_profile_onset_is_the_least_index(expr, onset):
+    assert profile(parse_expression(expr)).onset == onset
+
+
 def test_profile_mixed_branch_is_inexact_interval():
     mixed = AbsDiff(Linear(1.0, 0.0), BlockRepeat())  # n - a_n mixes variables
     prof = profile(mixed)
@@ -251,6 +265,12 @@ def test_gap_positive_onset_is_sound():
     assert np.all(vals >= g.epsilon * (1 - 1e-12))
 
 
+def test_gap_onset_is_the_least_index_past_every_float():
+    # 1 − 2·n^-0.01 >= 0 first at the least n >= 2^(1/e), e the float nearest 0.01
+    g = liminf_abs_gap(parse_expression("3 - 2/n^0.01"), Const(1))
+    assert (g.kind, g.epsilon, g.onset) == (GapKind.POSITIVE, 1.0, 1267650600228227572400579719433)
+
+
 def test_gap_zero_on_one_merge_branch_wins():
     p = Merge(Evens(), Const(2), Const(5))
     q = Const(2)
@@ -278,8 +298,8 @@ def test_profile_random_descriptors_enclose_samples():
         prof = profile(seq)
         if not prof.exact:
             continue
-        if prof.onset > 10**6:
-            continue  # the enclosure only claims anything beyond the onset
+        if prof.onset is None or prof.onset > 10**6:
+            continue  # the enclosure only claims anything beyond the onset (null: past printing)
         start = max(prof.onset, 10**5)
         vals = seq.eval_range(start, start + 200)
         finite = vals[np.isfinite(vals)]
