@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -543,6 +543,13 @@ _COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
 _OPERANDS = {cls: tuple(f.name for f in fields(cls)) for cls in _COMBINATORS}
 
 
+@lru_cache(maxsize=1024)
+def _unclamped(limit: float, coeff: float, decay: float) -> Optional[int]:
+    """The least index from which limit + coeff·n^−decay >= 1, so the clamp at 1 is off
+    (coeff < 0 < limit − 1); a drift leaf recurs in p and q = p + …, and across pairs."""
+    return least_index((Claim(_xs(((0.0, 0, Fraction(limit) - 1), (-decay, 0, coeff)))[0]),), VAR_N, 1)
+
+
 def closed_form(core) -> Optional[ClosedForm]:
     """Closed form of a Merge/Prefix-free descriptor, or None when the
     branch mixes n and a_n."""
@@ -554,9 +561,7 @@ def closed_form(core) -> Optional[ClosedForm]:
         if core.is_identically_one():
             return _cf(RForm.const(1.0), None)
         form = RForm.from_psum(PSum.make([(0.0, core.limit), (-core.decay, core.coeff)]))
-        # where the form is >= 1, the clamp is inactive; it is everywhere for coeff >= 0
-        onset = least_index(form_claims(form, 1, ((0.0, 0, -1),)), VAR_N, 1) if core.coeff < 0 else 1
-        return _cf(form, VAR_N, onset)
+        return _cf(form, VAR_N, _unclamped(core.limit, core.coeff, core.decay) if core.coeff < 0 else 1)
     if isinstance(core, E.Linear):
         return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
     if isinstance(core, E.BlockRepeat):
