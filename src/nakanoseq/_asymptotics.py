@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -235,18 +235,16 @@ def _log_exact(x: int, base: Optional[int]) -> Optional[int]:
 class Claim:
     """The claim s(x) >= 0 (> 0 when ``strict``) at integers x >= 1, where s is the sum of
     m·x^g·(log x)^l over the terms (g, l, m) of an exact sum, its denominator dropped.  The
-    logarithm is natural, or to the integer ``base``.  ``exact`` is a claim that this one
-    implies, whose onset is wanted: ``least_index`` walks this claim's onset down on it."""
+    logarithm is natural, or to the integer ``base``."""
 
-    __slots__ = ("terms", "strict", "base", "exact")
+    __slots__ = ("terms", "strict", "base")
 
-    def __init__(self, terms, strict: bool = False, base: Optional[int] = None, exact: Optional["Claim"] = None):
-        self.terms, self.strict, self.base, self.exact = terms, strict, base, exact
+    def __init__(self, terms, strict: bool = False, base: Optional[int] = None):
+        self.terms, self.strict, self.base = terms, strict, base
 
     def sign(self, x: int) -> Optional[int]:
         """The exact sign of s(x): by integers where every power is in Z/2 and every log is
-        exact, else from floats with an error bound or from decimal enclosures; None when
-        none settles it."""
+        exact, else from decimal enclosures; None when none settles it."""
         terms = self.terms
         j = 0 if x == 1 else _log_exact(x, self.base)
         if j is not None:  # log x = j
@@ -261,18 +259,6 @@ class Claim:
             s0, s1 = _sgn(r[0]), _sgn(r[1])
             d = r[0] * r[0] - r[1] * r[1] * x
             return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
-        # floats, scaled by x^-t: each term within (|e| + |t| + 16)·2^-49 of its value
-        u = math.log(x)
-        lf = u / math.log(self.base) if self.base else u
-        fl = [(float(g) * u, l, m) for g, l, m in terms]
-        top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
-        if all(abs(m).bit_length() < 1000 for *_, m in fl):
-            for e, l, m in fl:
-                v = m * math.exp(e - top) * (lf if l else 1.0)
-                tot += v
-                err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000
-            if abs(tot) > err:
-                return _sgn(tot)
         # correctly rounded ln and exp: each term within (|y| + 12)·10^(1-prec) of its value
         prec = x.bit_length() * 3 // 10 + 30
         for prec in (prec, 2 * prec, 4 * prec, 8 * prec):
@@ -360,10 +346,10 @@ def _failures(q: Claim, lo: int):
         return
     if all(m > 0 for *_, m in terms) and not terms[-1][1]:
         return  # no sign change: s > 0 at every x >= 1
-    if len(terms) == 2 and not terms[1][1]:  # m0·x^g0 >= −m1·x^g1: x^p >= R^q, decided in integers
+    if len(terms) == 2 and not terms[0][1] and not terms[1][1]:  # m0·x^g0 >= −m1·x^g1: x^p >= R^q
         p, d = (Fraction(terms[0][0]) - Fraction(terms[1][0])).as_integer_ratio()
         a, b = Fraction(-terms[1][2], terms[0][2]).as_integer_ratio()
-        if d * max(a.bit_length(), b.bit_length()) < 4 * _MAX_DIGITS:
+        if p + d * max(a.bit_length(), b.bit_length()) < 4 * _MAX_DIGITS:  # decided in integers
             need = a**d // b**d + 1 if q.strict else -(-(a**d) // b**d)
             t = _root(need, p)
             if t**p < need:
@@ -440,11 +426,6 @@ def least_index(claims, var: Optional[str], floor: Optional[int], pset: Optional
                 if m >= max(a, floor):
                     start = m + 1
                     break
-            # q implies its exact form, which can tie at zero only where its log is exact
-            while q.exact and not block and start > floor and _log_exact(start - 1, q.exact.base) is not None:
-                if not q.exact.holds(start - 1):
-                    break
-                start -= 1
             onset = max(onset, start)
     except _Undecided:
         return None
@@ -543,13 +524,6 @@ _COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
 _OPERANDS = {cls: tuple(f.name for f in fields(cls)) for cls in _COMBINATORS}
 
 
-@lru_cache(maxsize=1024)
-def _unclamped(limit: float, coeff: float, decay: float) -> Optional[int]:
-    """The least index from which limit + coeff·n^−decay >= 1, so the clamp at 1 is off
-    (coeff < 0 < limit − 1); a drift leaf recurs in p and q = p + …, and across pairs."""
-    return least_index((Claim(_xs(((0.0, 0, Fraction(limit) - 1), (-decay, 0, coeff)))[0]),), VAR_N, 1)
-
-
 def closed_form(core) -> Optional[ClosedForm]:
     """Closed form of a Merge/Prefix-free descriptor, or None when the
     branch mixes n and a_n."""
@@ -561,7 +535,9 @@ def closed_form(core) -> Optional[ClosedForm]:
         if core.is_identically_one():
             return _cf(RForm.const(1.0), None)
         form = RForm.from_psum(PSum.make([(0.0, core.limit), (-core.decay, core.coeff)]))
-        return _cf(form, VAR_N, _unclamped(core.limit, core.coeff, core.decay) if core.coeff < 0 else 1)
+        # where the form is >= 1, the clamp is inactive; it is everywhere for coeff >= 0
+        onset = least_index(form_claims(form, 1, ((0.0, 0, -1),)), VAR_N, 1) if core.coeff < 0 else 1
+        return _cf(form, VAR_N, onset)
     if isinstance(core, E.Linear):
         return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
     if isinstance(core, E.BlockRepeat):

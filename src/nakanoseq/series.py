@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -33,6 +32,7 @@ from ._asymptotics import (
     VAR_A,
     VAR_N,
     _later,
+    _log_exact,
     at,
     block_onset,
     form_claims,
@@ -133,38 +133,49 @@ def _pset_json(pset: Periodic) -> dict:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ln(v: float, digits: int = 30) -> tuple[Fraction, Fraction]:
-    """Fractions below and above ln v, from a correctly rounded logarithm to ``digits`` digits."""
-    with localcontext(prec=digits):
-        x = Fraction(Decimal(v).ln())
-    return x - abs(x) / 10 ** (digits - 2), x + abs(x) / 10 ** (digits - 2)
+def _ln(v: float, digits: int) -> tuple[Fraction, Fraction]:
+    """Fractions below and above ln v: from ``math.log``, within an ulp (2^-52), up to 15
+    digits, else from a correctly rounded decimal logarithm."""
+    if digits <= 15:
+        x, w = Fraction(math.log(v)), Fraction(2.0**-50)
+    else:
+        with localcontext(prec=digits):
+            x, w = Fraction(Decimal(v).ln()), Fraction(1, 10 ** (digits - 2))
+    return x - abs(x) * w, x + abs(x) * w
 
 
 def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Optional[int] = 2) -> Optional[int]:
-    """The onset of sign·f(x)·|ln α| + Σ c·x^g·ln x over ``ln_terms`` (g, c) +
-    Σ c·x^g·ln v over ``consts`` (g, c, v) >= 0 in x = n, for f = ``form``.
+    """The least index from which sign·f(x)·|ln α| + Σ c·x^g·ln x over ``ln_terms`` (g, c) +
+    Σ c·x^g·ln v over ``consts`` (g, c, v) >= 0 holds in x = n, for f = ``form`` >= 0.
 
-    The claims passed to ``least_index`` bound each logarithm of a constant so that
-    they imply this one, to about as many digits as their onset has, so their onset
-    is this claim's but for a tie.  For α = 2^-k the claim divided by |ln α| is
-    exact at powers of 2^k; where its constants are rational, it rides along as
-    the numerator's exact form, on which ``least_index`` walks over such a tie."""
-    k = round(-math.log2(alpha))
-    exact = None
+    Each logarithm of a constant is enclosed, so that one claim implies this one and this
+    one implies another: the onset N of the first is one, and it is the least where the
+    other fails at N − 1; otherwise the enclosures narrow.  A tie, a zero at an integer
+    x, needs ln x/ln α rational, so α = 2^-k and x a power of 2; where every v is a power
+    of 2 too, the claim divided by |ln α| is decided exactly at the powers of 2^k, in
+    logarithms to that base.  When no enclosure settles N − 1, N is still an onset."""
+    exact, k = None, round(-math.log2(alpha))
     if k >= 1 and alpha == 2.0**-k and all(math.log2(v).is_integer() for _, _, v in consts):
         terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
         exact = Claim(form_claims(form, sign, sorted(terms, reverse=True))[0].terms, base=2**k)
-    digits = 30
-    while True:
-        lo, hi = _ln(alpha, digits)  # ln α < 0
-        terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * _ln(v, digits)[c < 0]) for g, c, v in consts]
-        num, den = form_claims(form, sign * (-hi if sign > 0 else -lo), sorted(terms, reverse=True))
-        num.exact = exact
+    digits = 15
+    for _ in range(4):
+        ln_a, ln_v = _ln(alpha, digits), {v: _ln(v, digits) for _, _, v in consts}  # ln α < 0
+
+        def claims(end):  # end 0 takes the enclosures' ends that make the claim stronger
+            ln = [(g, 0, c * ln_v[v][(c < 0) ^ end]) for g, c, v in consts]
+            return form_claims(form, -sign * ln_a[(sign > 0) ^ end], sorted([(g, 1, c) for g, c in ln_terms] + ln, reverse=True))
+
+        (num, den), weak = claims(0), claims(1)[0]
         onset = least_index((num, den), VAR_N, floor)
-        if onset is None or onset.bit_length() * 3 // 10 + 20 < digits:
-            return onset
-        digits = onset.bit_length() * 6 // 10 + 40
+        while exact and onset and onset > floor and _log_exact(onset - 1, exact.base) is not None:
+            if not (exact.holds(onset - 1) and den.holds(onset - 1)):
+                break
+            onset -= 1
+        if not onset or onset <= floor or (weak.sign(onset - 1) or 0) < 0 or not den.holds(onset - 1):
+            break
+        digits = 2 * digits + onset.bit_length() * 3 // 10
+    return onset
 
 
 def _n_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):

@@ -26,6 +26,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 import nakanoseq as N
 from _generators import gen_pair
 
@@ -215,13 +217,15 @@ def _has_merge(seq) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _log2(n: int) -> tuple:
-    """An enclosure (lo, hi) of log2(n)."""
-    if n & (n - 1) == 0:
-        return Fraction(n.bit_length() - 1), Fraction(n.bit_length() - 1)
+def _log2(v) -> tuple:
+    """An enclosure (lo, hi) of log2(v) for a positive int or fraction v."""
+    v = Fraction(v)
+    a, b = v.numerator, v.denominator
+    if a & (a - 1) == 0 and b & (b - 1) == 0:
+        return Fraction(a.bit_length() - b.bit_length()), Fraction(a.bit_length() - b.bit_length())
     with localcontext(prec=40):
-        v = Fraction(Decimal(n).ln() / Decimal(2).ln())
-    return v * (1 - Fraction(1, 10**35)), v * (1 + Fraction(1, 10**35))
+        w = Fraction((Decimal(a).ln() - Decimal(b).ln()) / Decimal(2).ln())
+    return w - abs(w) / 10**35, w + abs(w) / 10**35
 
 
 def _vs(v, bound, n: int):
@@ -338,3 +342,45 @@ def test_printed_onsets_are_least_indices():
             _window_check(holds, onset, floor, stats, f"pair {i} {cert['kind']}")
     print(stats, f"{time.perf_counter() - start:.2f} s")
     assert stats["claims"] > 300 and stats["failed"] > 30 and not stats["undecided"]
+
+
+@pytest.mark.parametrize(
+    "alpha, exponent, block",
+    [(0.1, "blocks", 10), (0.4, "blocks", 3), (0.5, "blocks", 2), (0.25, "blocks", 4), (0.5, "blocks + blocks", 4)],
+)
+def test_block_divergence_onset_is_the_least_block(alpha, exponent, block):
+    """k^k·α^f(k) >= 1, i.e. f(k)·log2(1/α) <= k·log2 k, holds from the printed block
+    on and fails at the block before it (blocks start at 2); at α = 2^-j and a power
+    of 2 both sides can tie exactly."""
+    e = N.parse_expression(exponent)
+    verdict = N.decide_convergence(alpha, e)
+    assert verdict.answer is N.Answer.NO and verdict.certificate.per_block
+    assert verdict.certificate.onset == block
+    lo, hi = (-v for v in reversed(_log2(Fraction(alpha))))  # log2(1/α)
+
+    def holds(k):
+        lk = _log2(k)
+        return _at_most(value(e, block_first(k)), (k * lk[0] / hi, k * lk[1] / lo), k)
+
+    stats = {"failed": 0, "skipped": 0, "undecided": 0}
+    _window_check(holds, block, lambda m: m < 2, stats, f"{exponent} at α = {alpha}")
+    assert not stats["undecided"]
+
+
+def test_exists_alpha_on_blocks_plus_blocks():
+    """The divergence certificate that ``exists_alpha`` gives for 2·a_n: at α = 1/2,
+    2k·log2 2 <= k·log2 k first holds at block 4, with equality there."""
+    verdict = N.exists_alpha(N.Sum(N.BlockRepeat(), N.BlockRepeat()))
+    assert verdict.answer is N.Answer.NO and verdict.certificate.onset == 4
+
+
+def test_block_convergence_onset_at_a_tie():
+    """r_n for blocks + 2 vs blocks is a_n(a_n + 2)/2, and the block claim
+    f(k) >= k·log2 k + k at α = 1/2 is k/2 >= log2 k: equality at block 4, the onset."""
+    p, q = N.parse_expression("blocks + 2"), N.parse_expression("blocks")
+    cert = N.full_report(p, q, witness_count=0).inclusion_holds.certificate.to_json()["inner"]
+    assert cert["onset"] == 4
+    per_block, at = series_claim(cert)
+    stats = {"failed": 0, "skipped": 0, "undecided": 0}
+    _window_check(lambda k: at(k, _rn(*(value(s, block_first(k)) for s in (p, q)), k)), 4, lambda m: m < 2, stats, "r_n")
+    assert per_block and stats["failed"] == 1
