@@ -244,7 +244,8 @@ class Claim:
 
     def sign(self, x: int) -> Optional[int]:
         """The exact sign of s(x): by integers where every power is in Z/2 and every log is
-        exact, else from decimal enclosures; None when none settles it."""
+        exact, else from floats with an error bound or from decimal enclosures; None when
+        none settles it."""
         terms = self.terms
         j = 0 if x == 1 else _log_exact(x, self.base)
         if j is not None:  # log x = j
@@ -259,6 +260,18 @@ class Claim:
             s0, s1 = _sgn(r[0]), _sgn(r[1])
             d = r[0] * r[0] - r[1] * r[1] * x
             return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
+        # floats, scaled by x^-t: each term within (|e| + |t| + 16)·2^-49 of its value
+        u = math.log(x)
+        lf = u / math.log(self.base) if self.base else u
+        fl = [(float(g) * u, l, m) for g, l, m in terms]
+        top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
+        if all(abs(m).bit_length() < 1000 for *_, m in fl):
+            for e, l, m in fl:
+                v = m * math.exp(e - top) * (lf if l else 1.0)
+                tot += v
+                err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000
+            if abs(tot) > err:
+                return _sgn(tot)
         # correctly rounded ln and exp: each term within (|y| + 12)·10^(1-prec) of its value
         prec = x.bit_length() * 3 // 10 + 30
         for prec in (prec, 2 * prec, 4 * prec, 8 * prec):
@@ -280,16 +293,47 @@ class Claim:
         return s is not None and (s > 0 or (s == 0 and not self.strict))
 
 
-def _first(pred, a: int, b: Optional[int]) -> Optional[int]:
+def _estimate(terms, a: int, top: int) -> Optional[int]:
+    """Where in (a, top] the sum with these terms changes sign, by bisection on u = ln x in
+    floats; None where they overflow."""
+    try:
+        c = [(float(g - terms[0][0]), l, float(m)) for g, l, m in terms]
+    except OverflowError:
+        return None
+
+    def side(u):
+        return sum(m * math.exp(g * u) * u**l for g, l, m in c) > 0
+
+    lo, hi = math.log(a), math.log(top)
+    left = side(lo)
+    while hi - lo > 4e-16 * hi and (hi > 700 or (hi - lo) * math.exp(hi) > 1):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if side(mid) == left else (lo, mid)
+    return math.ceil(math.exp(hi)) if hi < 700 else None
+
+
+def _first(pred, a: int, b: Optional[int], terms) -> Optional[int]:
     """The least x in (a, b] where ``pred`` holds, given that it fails at a, holds at b (b None:
-    at every large x) and changes once in between, by galloping and bisection; None when that
-    x is past the printable range."""
-    top, lo, step = b or _TOO_FAR, a, 1
-    while not pred(min(lo + step, top)):
-        if lo + step >= top:
+    at every large x) and changes once in between, where the sum with ``terms`` changes sign;
+    by galloping, from a float estimate once x is far, and bisection.  None when that x is
+    past the printable range."""
+    top, lo, hi, step = b or _TOO_FAR, a, None, 1
+    while hi is None:
+        x = min(lo + step, top)
+        if pred(x):
+            hi = x
+        elif x == top:
             return None
-        lo, step = lo + step, 2 * step
-    hi = min(lo + step, top)
+        elif step == 16 and x < (g := _estimate(terms, x, top) or x) < top:
+            if pred(g):  # gallop down from the estimate
+                hi, step = g, 1
+                while hi - step > x and pred(hi - step):
+                    hi, step = hi - step, 2 * step
+                lo = max(x, hi - step)
+            else:
+                lo, step = g, 1
+        else:
+            lo, step = x, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if pred(mid) else (mid, hi)
@@ -329,7 +373,7 @@ def _cuts(terms, lo: int) -> list[int]:
     for i, a in enumerate(pts):
         b = pts[i + 1] if i + 1 < len(pts) else None
         if vals[i] * vals[i + 1] < 0 and (b is None or b - a > 1):  # one root here
-            t = _first(lambda x: sign(x) != vals[i], a, b)
+            t = _first(lambda x: sign(x) != vals[i], a, b, terms)
             if t is None:
                 raise _Undecided
             out.update((t - 1, t))
@@ -359,6 +403,8 @@ def _failures(q: Claim, lo: int):
             return
     pure = tuple((g, 0, m) for g, l, m in terms if not l)
     if len(pure) == len(terms):
+        if _changes(terms) > 1 and Claim(terms[:1] + tuple(t for t in terms if t[2] < 0), q.strict).holds(lo):
+            return  # so does this minorant with one sign change, x^-g0 times which increases
         cuts = _cuts(_rolle(terms), lo) if _changes(terms) > 1 else []
     else:  # s = A + B·ln x, and x·B²·(A/B + ln x)' = x(A'B − AB') + B²
         ln = (tuple((g, 0, m) for g, l, m in terms if l), 1)
@@ -370,12 +416,12 @@ def _failures(q: Claim, lo: int):
         a, b = pts[i], (pts[i + 1] if i + 1 < len(pts) else None)
         here = q.holds(a)
         if not here:
-            t = b if not above else _first(q.holds, a, b)
+            t = b if not above else _first(q.holds, a, b, terms)
             yield a, t and (t if not above else t - 1)
             if t is None:
                 return
         elif not above:
-            yield _first(lambda x: not q.holds(x), a, b), b
+            yield _first(lambda x: not q.holds(x), a, b, terms), b
         above = here
 
 

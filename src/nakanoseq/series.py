@@ -154,10 +154,8 @@ def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Opt
     x, needs ln x/ln α rational, so α = 2^-k and x a power of 2; where every v is a power
     of 2 too, the claim divided by |ln α| is decided exactly at the powers of 2^k, in
     logarithms to that base.  When no enclosure settles N − 1, N is still an onset."""
-    exact, k = None, round(-math.log2(alpha))
-    if k >= 1 and alpha == 2.0**-k and all(math.log2(v).is_integer() for _, _, v in consts):
-        terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
-        exact = Claim(form_claims(form, sign, sorted(terms, reverse=True))[0].terms, base=2**k)
+    k = round(-math.log2(alpha))
+    ties = k >= 1 and alpha == 2.0**-k and all(math.log2(v).is_integer() for _, _, v in consts)
     digits = 15
     for _ in range(4):
         ln_a, ln_v = _ln(alpha, digits), {v: _ln(v, digits) for _, _, v in consts}  # ln α < 0
@@ -166,13 +164,15 @@ def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Opt
             ln = [(g, 0, c * ln_v[v][(c < 0) ^ end]) for g, c, v in consts]
             return form_claims(form, -sign * ln_a[(sign > 0) ^ end], sorted([(g, 1, c) for g, c in ln_terms] + ln, reverse=True))
 
-        (num, den), weak = claims(0), claims(1)[0]
+        num, den = claims(0)
         onset = least_index((num, den), VAR_N, floor)
-        while exact and onset and onset > floor and _log_exact(onset - 1, exact.base) is not None:
+        while ties and onset and onset > floor and _log_exact(onset - 1, 2**k) is not None:
+            terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
+            exact = Claim(form_claims(form, sign, sorted(terms, reverse=True))[0].terms, base=2**k)
             if not (exact.holds(onset - 1) and den.holds(onset - 1)):
                 break
             onset -= 1
-        if not onset or onset <= floor or (weak.sign(onset - 1) or 0) < 0 or not den.holds(onset - 1):
+        if not onset or onset <= floor or (claims(1)[0].sign(onset - 1) or 0) < 0 or not den.holds(onset - 1):
             break
         digits = 2 * digits + onset.bit_length() * 3 // 10
     return onset
