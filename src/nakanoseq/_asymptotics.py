@@ -7,9 +7,11 @@ descriptors.  Every such branch collapses to a *generalized rational form*
     f(x) = (sum_i c_i x^{g_i}) / (sum_j d_j x^{g_j}),   real exponents,
 
 in a single asymptotic variable: either n itself or the block value a_n.
-On that algebra limits and eventual signs are computable in closed form, and
-every onset is the least index from which an inequality built from the form
-holds, decided exactly by ``least_index``.
+The sums are exact (``PSum``: integer coefficients over one denominator, with
+each descriptor constant read as the decimal it prints as, so 1.1 is 11/10),
+so limits and eventual signs are exact, and every onset is the least index
+from which an inequality built in the same sums holds, decided exactly by
+``least_index``.  Floats leave only where a record prints an exact value.
 
 Branches that mix n and a_n (e.g. |n - a_n|) fall back to interval
 arithmetic over the argument profiles and yield honest Unknowns.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,96 +40,127 @@ SAMPLE_HORIZON = 10**5
 
 
 # --------------------------------------------------------------------------
-# generalized power sums and rational forms
+# exact power sums and rational forms
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PSum:
-    """sum_i coeff_i * x^{exp_i}; terms sorted by exponent descending."""
+def _gsum(a, b):
+    """a + b for exponents: a float while the float sum is exact (TwoSum), else a fraction."""
+    if type(a) is float and type(b) is float:
+        s = a + b
+        if not (a - (s - (s - a))) + (b - (s - a)):
+            return s
+    return Fraction(a) + Fraction(b)
 
-    terms: tuple[tuple[float, float], ...]  # (exponent, coeff)
+
+def _decimal(c: float):
+    """A descriptor constant as the decimal it prints as (1.1 is 11/10); the float itself
+    where that is its value, so that dyadic exponents keep their float sums."""
+    if c == int(c) and abs(c) < 2**53:  # printed exactly
+        return float(c)
+    v = Fraction(repr(c))
+    return c if (v.numerator, v.denominator) == c.as_integer_ratio() else v
+
+
+def _sgn(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+class PSum(NamedTuple):
+    """The exact sum of m/den·x^g·(ln x)^l over its terms (g, l, m): integers m != 0 over one
+    denominator den > 0, in descending (g, l) order.  Exponents are floats while their sums
+    stay exact in floats, else fractions (``_gsum``)."""
+
+    terms: tuple = ()
+    den: int = 1
 
     @staticmethod
-    def make(pairs) -> "PSum":
-        acc: dict[float, float] = {}
-        for g, c in pairs:
-            acc[g] = acc.get(g, 0.0) + c
-        terms = tuple(sorted(((g, c) for g, c in acc.items() if c != 0.0), reverse=True))
-        return PSum(terms)
+    def make(terms) -> "PSum":
+        """The sum of c·x^g·(ln x)^l over (g, l, c), for rationals c (ints, fractions or floats)."""
+        ratios = [(g, l, *c.as_integer_ratio()) for g, l, c in terms]
+        k = math.lcm(*(d for *_, d in ratios))
+        acc: dict = {}
+        for g, l, n, d in ratios:
+            acc[g, l] = acc.get((g, l), 0) + n * (k // d)
+        return _psum(acc, k)
 
-    @staticmethod
-    def const(c: float) -> "PSum":
-        return PSum.make([(0.0, c)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def leading(self) -> tuple[float, float]:
-        return self.terms[0]
-
-    def add(self, other: "PSum") -> "PSum":
-        return PSum.make(self.terms + other.terms)
-
-    def neg(self) -> "PSum":
-        return PSum(tuple((g, -c) for g, c in self.terms))
+    def add(self, other: "PSum", sign: int = 1) -> "PSum":
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        acc = {(g, l): m * a for g, l, m in self.terms}
+        for g, l, m in other.terms:
+            acc[g, l] = acc.get((g, l), 0) + m * b
+        return _psum(acc, den)
 
     def sub(self, other: "PSum") -> "PSum":
-        return self.add(other.neg())
+        return self.add(other, -1)
 
     def mul(self, other: "PSum") -> "PSum":
-        return PSum.make([(g1 + g2, c1 * c2) for g1, c1 in self.terms for g2, c2 in other.terms])
+        if other == _ONE or self == _ONE:
+            return self if other == _ONE else other
+        acc: dict = {}
+        for g, l, m in self.terms:
+            for h, k, n in other.terms:
+                key = (_gsum(g, h), l + k)
+                acc[key] = acc.get(key, 0) + m * n
+        return _psum(acc, self.den * other.den)
+
+    def scale(self, r) -> "PSum":
+        """r times the sum, for a rational r."""
+        n, d = r.as_integer_ratio()
+        return PSum(tuple((g, l, m * n) for g, l, m in self.terms) if n else (), self.den * d)
+
+    def deriv(self) -> "PSum":
+        """The derivative in x of a sum without ln x."""
+        ratios = [(g, m, *g.as_integer_ratio()) for g, _, m in self.terms if g]
+        k = math.lcm(*(q for *_, q in ratios))
+        return _psum({(_gsum(g, -1.0), 0): m * p * (k // q) for g, m, p, q in ratios}, self.den * k)
 
     def eval(self, x: float) -> float:
-        return sum(c * x**g for g, c in self.terms)
+        """The float value at x of a sum without ln x."""
+        return sum(m / self.den * x**g for g, _, m in self.terms)
 
     @property
     def sign(self) -> int:
         """The eventual sign: that of the leading coefficient, 0 for the zero sum."""
-        return 0 if self.is_zero else (1 if self.terms[0][1] > 0 else -1)
-
-    @cached_property
-    def exact(self) -> tuple:
-        """The exact sum (terms, den) that claims on this sum are built from."""
-        return _xs((g, 0, c) for g, c in self.terms)
+        return _sgn(self.terms[0][2]) if self.terms else 0
 
 
-@dataclass(frozen=True)
-class RForm:
+def _psum(acc: dict, den: int) -> PSum:
+    """The sum of m/den·x^g·(ln x)^l over acc's items ((g, l), m), in lowest terms."""
+    k = math.gcd(den, *acc.values())
+    return PSum(tuple(sorted(((g, l, m // k) for (g, l), m in acc.items() if m), reverse=True)), den // k)
+
+
+_ONE = PSum(((0.0, 0, 1),))
+_X = PSum(((1.0, 0, 1),))
+
+
+class RForm(NamedTuple):
+    """num/den for exact power sums without ln x."""
+
     num: PSum
-    den: PSum
+    den: PSum = _ONE
 
     @staticmethod
-    def from_psum(p: PSum) -> "RForm":
-        return RForm(p, PSum.const(1.0))
-
-    @staticmethod
-    def const(c: float) -> "RForm":
-        return RForm.from_psum(PSum.const(c))
+    def const(c) -> "RForm":
+        return RForm(PSum.make([(0.0, 0, c)]))
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
-    def add(self, o: "RForm") -> "RForm":
-        return RForm(self.num.mul(o.den).add(o.num.mul(self.den)), self.den.mul(o.den))
+    def add(self, o: "RForm", sign: int = 1) -> "RForm":
+        return RForm(self.num.mul(o.den).add(o.num.mul(self.den), sign), self.den.mul(o.den))
 
     def sub(self, o: "RForm") -> "RForm":
-        return RForm(self.num.mul(o.den).sub(o.num.mul(self.den)), self.den.mul(o.den))
+        return self.add(o, -1)
 
     def mul(self, o: "RForm") -> "RForm":
         return RForm(self.num.mul(o.num), self.den.mul(o.den))
 
     def recip(self) -> "RForm":
         return RForm(self.den, self.num)
-
-    def neg(self) -> "RForm":
-        return RForm(self.num.neg(), self.den)
-
-    def sub_scalar(self, c: float) -> "RForm":
-        return self.sub(RForm.const(c))
 
     def eval(self, x: float) -> float:
         d = self.den.eval(x)
@@ -136,38 +169,30 @@ class RForm:
             return INF if n > 0 else (-INF if n < 0 else 0.0)
         return n / d
 
-    def limit(self) -> float:
-        """Limit as x -> +inf (exact on this algebra)."""
-        if self.num.is_zero:
-            return 0.0
-        gn, cn = self.num.leading
-        gd, cd = self.den.leading
-        gamma = gn - gd
-        c = cn / cd
-        if gamma > 0:
-            return math.copysign(INF, c)
-        if gamma == 0:
-            return c
-        return 0.0
-
-    def degree(self) -> float:
+    def degree(self):
         """Exponent of the leading power (growth order)."""
-        if self.num.is_zero:
+        if self.is_zero:
             return -INF
-        return self.num.leading[0] - self.den.leading[0]
+        return _gsum(self.num.terms[0][0], -self.den.terms[0][0])
 
-    def lead_coeff(self) -> float:
-        if self.num.is_zero:
-            return 0.0
-        return self.num.leading[1] / self.den.leading[1]
+    def lead_coeff(self) -> Fraction:
+        """The coefficient of the leading power, for a nonzero form."""
+        return Fraction(self.num.terms[0][2] * self.den.den, self.den.terms[0][2] * self.num.den)
+
+    def limit(self):
+        """The exact limit as x -> +inf: a rational, or ±inf."""
+        gamma = self.degree()
+        if gamma > 0:
+            return INF if self.num.sign == self.den.sign else -INF
+        return self.lead_coeff() if gamma == 0 else 0
 
     @property
     def sign(self) -> int:
         """The eventual sign of num/den."""
         return self.num.sign * self.den.sign
 
-    def is_const(self, c: float) -> bool:
-        return self.sub_scalar(c).is_zero
+    def is_const(self, c) -> bool:
+        return self.sub(RForm.const(c)).is_zero
 
 
 # --------------------------------------------------------------------------
@@ -176,51 +201,6 @@ class RForm:
 
 _MAX_DIGITS = sys.int_info.default_max_str_digits  # str() and json.dumps print ints up to this many digits
 _TOO_FAR = 10**_MAX_DIGITS  # the least index with more digits: onsets from here on are null
-
-# An exact sum is (terms, den): the sum of m/den·x^g·(ln x)^l over terms (g, l, m), with
-# integers m != 0 and den > 0, in descending (g, l) order.  Exponents stay floats while
-# their float sums are exact (TwoSum), and become fractions when not.
-
-
-def _gsum(a, b):
-    if type(a) is float and type(b) is float:
-        s = a + b
-        if not (a - (s - (s - a))) + (b - (s - a)):
-            return s
-    return Fraction(a) + Fraction(b)
-
-
-def _xs(pairs, den: int = 1) -> tuple:
-    """The exact sum of c/den·x^g·(ln x)^l over (g, l, c), descending, with rational c != 0."""
-    pairs = [(g, l, c.as_integer_ratio()) for g, l, c in pairs]
-    k = math.lcm(*(d for _, _, (_, d) in pairs))
-    return tuple((g, l, n * (k // d)) for g, l, (n, d) in pairs), den * k
-
-
-def _add(*sums) -> tuple:
-    den, acc = math.lcm(*(d for _, d in sums)), {}
-    for terms, d in sums:
-        for g, l, m in terms:
-            acc[g, l] = acc.get((g, l), 0) + m * (den // d)
-    return tuple(sorted(((g, l, m) for (g, l), m in acc.items() if m), reverse=True)), den
-
-
-def _times(a, b) -> tuple:
-    return _add(([(_gsum(g, h), l + k, m * n) for g, l, m in a[0] for h, k, n in b[0]], a[1] * b[1]))
-
-
-def _by(a, r) -> tuple:
-    n, d = r.as_integer_ratio()
-    return tuple((g, l, m * n) for g, l, m in a[0] if n), a[1] * d
-
-
-def _deriv(a) -> tuple:
-    return _xs([(_gsum(g, -1.0), 0, Fraction(g) * m) for g, _, m in a[0] if g], a[1])
-
-
-def _sgn(v) -> int:
-    return (v > 0) - (v < 0)
-
 
 def _dec(v) -> Decimal:
     return Decimal(v) if type(v) is float else Decimal(v.numerator) / Decimal(v.denominator)
@@ -243,23 +223,29 @@ class Claim:
         self.terms, self.strict, self.base = terms, strict, base
 
     def sign(self, x: int) -> Optional[int]:
-        """The exact sign of s(x): by integers where every power is in Z/2 and every log is
-        exact, else from floats with an error bound or from decimal enclosures; None when
-        none settles it."""
+        """The exact sign of s(x): by integers where every log is exact and every power is in
+        Z/2, or in (1/b)Z at x = r^b, else from floats with an error bound or from decimal
+        enclosures; None when none settles it."""
         terms = self.terms
         j = 0 if x == 1 else _log_exact(x, self.base)
         if j is not None:  # log x = j
             terms = [(g, 0, m * j**l) for g, l, m in terms if j or not l]
             if x == 1:
                 return _sgn(sum(m for *_, m in terms))
-        if all(not l and not (2 * g) % 1 for g, l, _ in terms):  # s(x)·x^k = r0 + r1·√x
-            low = min((math.floor(g) for g, _, _ in terms), default=0)
-            r = [0, 0]
-            for g, _, m in terms:
-                r[int(2 * (g - low)) % 2] += m * x ** int(g - low)
-            s0, s1 = _sgn(r[0]), _sgn(r[1])
-            d = r[0] * r[0] - r[1] * r[1] * x
-            return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
+        if all(not l for _, l, _ in terms):  # s(x) = Σ m·x^(k/b)
+            ratios = [(g.as_integer_ratio(), m) for g, _, m in terms]
+            b = math.lcm(2, *(q for (_, q), _ in ratios))
+            ks = [(p * (b // q), m) for (p, q), m in ratios]
+            low = min((k for k, _ in ks), default=0)
+            if b == 2:  # s(x)·x^(-low/2) = r0 + r1·√x
+                r = [0, 0]
+                for k, m in ks:
+                    r[(k - low) % 2] += m * x ** ((k - low) // 2)
+                s0, s1 = _sgn(r[0]), _sgn(r[1])
+                d = r[0] * r[0] - r[1] * r[1] * x
+                return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
+            if b < x.bit_length() and (r := _root(x, b)) ** b == x:  # s(x)·r^-low in integers
+                return _sgn(sum(m * r ** (k - low) for k, m in ks))
         # floats, scaled by x^-t: each term within (|e| + |t| + 16)·2^-49 of its value
         u = math.log(x)
         lf = u / math.log(self.base) if self.base else u
@@ -350,7 +336,7 @@ def _changes(terms) -> int:
 
 def _rolle(terms) -> tuple:
     """(x^-g·s)' for g the last exponent of s: where it keeps its sign, s is monotone up to x^g."""
-    return _deriv(([(_gsum(h, -terms[-1][0]), 0, m) for h, _, m in terms], 1))[0]
+    return PSum(tuple((_gsum(h, -terms[-1][0]), 0, m) for h, _, m in terms)).deriv().terms
 
 
 def _cuts(terms, lo: int) -> list[int]:
@@ -407,9 +393,9 @@ def _failures(q: Claim, lo: int):
             return  # so does this minorant with one sign change, x^-g0 times which increases
         cuts = _cuts(_rolle(terms), lo) if _changes(terms) > 1 else []
     else:  # s = A + B·ln x, and x·B²·(A/B + ln x)' = x(A'B − AB') + B²
-        ln = (tuple((g, 0, m) for g, l, m in terms if l), 1)
-        turn = _add(_times(_deriv((pure, 1)), ln), _by(_times((pure, 1), _deriv(ln)), -1))
-        cuts = _cuts(ln[0], lo) + _cuts(_add(_times(turn, (((1.0, 0, 1),), 1)), _times(ln, ln))[0], lo)
+        a, b = PSum(pure), PSum(tuple((g, 0, m) for g, l, m in terms if l))
+        turn = a.deriv().mul(b).sub(a.mul(b.deriv()))
+        cuts = _cuts(b.terms, lo) + _cuts(turn.mul(_X).add(b.mul(b)).terms, lo)
     pts = sorted({lo, *cuts})
     above = True  # q holds at every large x
     for i in range(len(pts) - 1, -1, -1):
@@ -489,31 +475,32 @@ def at(onset: Optional[int]) -> str:
 
 
 def form_claims(f: RForm, scale=1, extra=()) -> tuple[Claim, Claim]:
-    """scale·f + extra >= 0, for a rational ``scale`` and descending terms ``extra``
-    (c·x^g·(ln x)^l as (g, l, c)): the numerator scale·num + extra·den keeping the sign
-    of den, and den keeping it strictly."""
+    """scale·f + extra >= 0, for a rational ``scale`` and terms ``extra`` (c·x^g·(ln x)^l as
+    (g, l, c), c rational): the numerator scale·num + extra·den keeping the sign of den, and
+    den keeping it strictly."""
     sd = f.den.sign
-    if not extra and all(c * scale * sd > 0 for _, c in f.num.terms) and all(c * sd > 0 for _, c in f.den.terms):
+    sn = _sgn(scale) * sd
+    if not extra and all(m * sn > 0 for *_, m in f.num.terms) and all(m * sd > 0 for *_, m in f.den.terms):
         return ()  # no coefficient sign change: both hold at every x >= 1
-    den = _by(f.den.exact, sd)
-    num = _by(f.num.exact, scale * sd)
+    den = f.den.scale(sd)
+    num = f.num.scale(scale * sd)
     if extra:
-        num = _add(num, _times(_xs(extra), den))
-    return Claim(num[0]), Claim(den[0], strict=True)
+        num = num.add(PSum.make(extra).mul(den))
+    return Claim(num.terms), Claim(den.terms, strict=True)
 
 
 def band_claims(f: RForm, centre, tol) -> tuple[Claim, Claim, Claim]:
-    """|f − centre| <= tol: tol·den ∓ (num − centre·den) >= 0 with den's sign, and den
-    keeping it strictly."""
-    den = _by(f.den.exact, f.den.sign)
-    g = _add(_by(f.num.exact, f.den.sign), _by(den, -centre))
-    return Claim(_add(_by(den, tol), _by(g, -1))[0]), Claim(_add(_by(den, tol), g)[0]), Claim(den[0], strict=True)
+    """|f − centre| <= tol, for rationals centre and tol: centre + tol − f >= 0 and
+    f − centre + tol >= 0, and den keeping its sign strictly."""
+    c = Fraction(centre)
+    return form_claims(f, -1, ((0.0, 0, c + tol),)) + form_claims(f, 1, ((0.0, 0, tol - c),))[:1]
 
 
 def gap_claim(f: RForm, eps) -> Claim:
-    """|f| >= eps: num² − eps²·den² >= 0 (an infinite value where den = 0 meets it)."""
-    num, den = f.num.exact, f.den.exact
-    return Claim(_add(_times(num, num), _by(_times(den, den), -eps * eps))[0])
+    """|f| >= eps, for a rational eps: num² − eps²·den² >= 0 (an infinite value where den = 0
+    meets it)."""
+    num, den = f.num, f.den
+    return Claim(num.mul(num).sub(den.mul(den).scale(eps).scale(eps)).terms)
 
 
 # --------------------------------------------------------------------------
@@ -537,9 +524,9 @@ class ClosedForm:
     def is_inf(self) -> bool:
         return self.form is None
 
-    def limit(self) -> float:
-        # a_n -> inf along every infinite index set, so the variable limit
-        # transfers directly in both cases.
+    def limit(self):
+        """The exact limit: a rational, or ±inf.  a_n -> inf along every infinite
+        index set, so the variable limit transfers directly in both cases."""
         if self.is_inf:
             return INF
         return self.form.limit()
@@ -576,18 +563,18 @@ def closed_form(core) -> Optional[ClosedForm]:
     if isinstance(core, E.Const):
         if core.value == INF:
             return _cf_inf()
-        return _cf(RForm.const(core.value), None)
+        return _cf(RForm.const(_decimal(core.value)), None)
     if isinstance(core, E.RationalDrift):
         if core.is_identically_one():
-            return _cf(RForm.const(1.0), None)
-        form = RForm.from_psum(PSum.make([(0.0, core.limit), (-core.decay, core.coeff)]))
+            return _cf(RForm.const(1), None)
+        form = RForm(PSum.make([(0.0, 0, _decimal(core.limit)), (-_decimal(core.decay), 0, _decimal(core.coeff))]))
         # where the form is >= 1, the clamp is inactive; it is everywhere for coeff >= 0
         onset = least_index(form_claims(form, 1, ((0.0, 0, -1),)), VAR_N, 1) if core.coeff < 0 else 1
         return _cf(form, VAR_N, onset)
     if isinstance(core, E.Linear):
-        return _cf(RForm.from_psum(PSum.make([(1.0, core.slope), (0.0, core.intercept)])), VAR_N)
+        return _cf(RForm(PSum.make([(1.0, 0, _decimal(core.slope)), (0.0, 0, _decimal(core.intercept))])), VAR_N)
     if isinstance(core, E.BlockRepeat):
-        return _cf(RForm.from_psum(PSum.make([(1.0, 1.0)])), VAR_A)
+        return _cf(RForm(_X), VAR_A)
     names = _OPERANDS.get(type(core))
     if names is None:
         return None  # Merge/Prefix must be normalized away first; unknown types opt out
@@ -603,7 +590,7 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
     if kind is E.Recip:
         (cf,) = cfs
         if cf.is_inf:
-            return _cf(RForm.const(0.0), None, cf.onset)
+            return _cf(RForm.const(0), None, cf.onset)
         if cf.form.is_zero:
             return _cf_inf(cf.onset)
         return _cf(cf.form.recip(), cf.var, cf.onset)
@@ -613,10 +600,10 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
     if kind is E.RnOf:  # 1/r_n = 1/q_n − 1/p_n where positive, with 1/∞ = 0
         if not a.is_inf and a.form.is_zero:  # 1/q - 1/0 < 0, so r_n = ∞ as in eval
             return _cf_inf(base)
-        x = RForm.const(0.0) if b.is_inf else b.form.recip()
-        y = RForm.const(0.0) if a.is_inf else a.form.recip()
+        x = RForm.const(0) if b.is_inf else b.form.recip()
+        y = RForm.const(0) if a.is_inf else a.form.recip()
     elif a.is_inf and b.is_inf:
-        return _cf(RForm.const(0.0), None, base) if kind is E.AbsDiff else _cf_inf(base)
+        return _cf(RForm.const(0), None, base) if kind is E.AbsDiff else _cf_inf(base)
     elif a.is_inf or b.is_inf:
         if kind is E.NakanoExponent:  # the finite side
             fin = b if a.is_inf else a
@@ -632,14 +619,14 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
 
     d = x.sub(y)
     if d.is_zero:
-        return _cf(RForm.const(0.0), None, base) if kind is E.AbsDiff else _cf_inf(base)
+        return _cf(RForm.const(0), None, base) if kind is E.AbsDiff else _cf_inf(base)
     sign = d.sign  # 0 only for a zero denominator: d is infinite
     if sign and var is not None:  # d keeps its sign from here on; a constant d keeps it everywhere
         base = least_index(form_claims(d, sign), var, base)
     onset = base
     if kind is E.RnOf:
         return _cf_inf(onset) if sign < 0 else _cf(d.recip(), var, onset)
-    absd = d if sign >= 0 else d.neg()
+    absd = d if sign >= 0 else RForm(d.num.scale(-1), d.den)
     if kind is E.AbsDiff:
         return _cf(absd, var, onset)
     return _cf(x.mul(y).mul(absd.recip()), var, onset)
@@ -776,7 +763,7 @@ def _interval_range(core) -> Bounds:
     """Enclosure of all accumulation values of a Merge-free branch."""
     cf = closed_form(core)
     if cf is not None:
-        return Bounds.exactly(cf.limit())
+        return Bounds.exactly(float(cf.limit()))
     kind = type(core)
     if kind not in _OPERANDS:
         return Bounds(0.0, INF)
@@ -819,9 +806,9 @@ class Analysis:
             if cf is None:
                 lim, b_onset = _interval_range(b.core), b.onset
             else:
-                val = cf.limit()
+                val = float(cf.limit())
                 lim, b_onset = Bounds.exactly(val), _later(b.onset, cf.onset)
-                if val != INF and val != -INF and cf.var is not None:  # within PROFILE_TOL of the limit
+                if val != INF and val != -INF and cf.var is not None:  # within PROFILE_TOL of the printed limit
                     b_onset = least_index(band_claims(cf.form, val, PROFILE_TOL), cf.var, b_onset, b.pset)
             lims.append(lim)
             onset = _later(onset, b_onset)
@@ -925,13 +912,15 @@ def _branch_gap(row) -> BranchGap:
         return BranchGap(kind, 1.0, "gap is infinite", floor=base, start=_later(onset, side.onset))
     d = a.form.sub(b.form)
     limit = d.limit()
-    if limit == 0.0:
+    if limit == 0:
         return BranchGap(SignKind.ZERO, None, "|p_n - q_n| -> 0", d, var, base, pset, base)
     kind, size = (SignKind.POSITIVE, limit) if limit > 0 else (SignKind.NEGATIVE, -limit)
-    # ε = 1/2 for an infinite limit, the limit for a constant d, else half of it
-    eps = 0.5 if size == INF else (size if d.is_const(limit) else size / 2.0)
-    note = "gap is constant" if eps == size else "gap diverges" if size == INF else f"gap -> {size:g}"
-    return BranchGap(kind, eps, note, d, var, base, pset)
+    if size == INF:
+        return BranchGap(kind, 0.5, "gap diverges", d, var, base, pset)
+    if d.is_const(limit):  # ε the largest float at most the gap
+        eps = float(size)
+        return BranchGap(kind, eps if eps <= size else math.nextafter(eps, 0.0), "gap is constant", d, var, base, pset)
+    return BranchGap(kind, float(size) / 2.0, f"gap -> {float(size):g}", d, var, base, pset)
 
 
 class PairAnalysis:

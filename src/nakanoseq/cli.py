@@ -3,6 +3,7 @@
 Commands: norm, space, compare, witness, probe.  Exit codes:
 
 * 0 — completed report (Unknown verdicts do not change the code)
+* 1 — standard output closed before the output was written (broken pipe)
 * 2 — DSL/vector parse error or invalid arguments
 * 3 — numeric failure (the norm solver hit the iteration cap, or the norm
   exceeds the float64 range)
@@ -34,6 +35,7 @@ from .vectors import DEFAULT_REL_TOL, SparseVector, luxemburg_norm
 from .verdicts import Answer, Verdict
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
@@ -226,7 +228,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout fails here
+    except BrokenPipeError:  # stdout closed early, as by `| head`: the `signal` docs' "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes nowhere
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

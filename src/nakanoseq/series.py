@@ -162,13 +162,13 @@ def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Opt
 
         def claims(end):  # end 0 takes the enclosures' ends that make the claim stronger
             ln = [(g, 0, c * ln_v[v][(c < 0) ^ end]) for g, c, v in consts]
-            return form_claims(form, -sign * ln_a[(sign > 0) ^ end], sorted([(g, 1, c) for g, c in ln_terms] + ln, reverse=True))
+            return form_claims(form, -sign * ln_a[(sign > 0) ^ end], [(g, 1, c) for g, c in ln_terms] + ln)
 
         num, den = claims(0)
         onset = least_index((num, den), VAR_N, floor)
         while ties and onset and onset > floor and _log_exact(onset - 1, 2**k) is not None:
             terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
-            exact = Claim(form_claims(form, sign, sorted(terms, reverse=True))[0].terms, base=2**k)
+            exact = Claim(form_claims(form, sign, terms)[0].terms, base=2**k)
             if not (exact.holds(onset - 1) and den.holds(onset - 1)):
                 break
             onset -= 1
@@ -185,7 +185,7 @@ def _n_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
     gamma = form.degree()
     floor = _later(base_onset, cf.onset)
     if gamma >= 1.0:
-        c = form.lead_coeff() / 2.0 if gamma == 1.0 else 1.0
+        c = float(form.lead_coeff() / 2) if gamma == 1 else 1.0
         onset = least_index(form_claims(form, 1, ((1.0, 0, -c),)), VAR_N, floor)
         ratio = alpha**c
         return GeometricComparison(
@@ -232,8 +232,7 @@ def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic):
 def _bounded_divergence_cert(cf: ClosedForm, alpha: Optional[float], base_onset: int):
     """Exponent has a finite limit on the branch, so terms never vanish: it stays at most
     the limit + 1 from the least index on."""
-    limit = cf.limit()
-    cap = limit + 1.0
+    cap = float(cf.limit()) + 1.0
     onset = _later(base_onset, cf.onset)
     if cf.var is not None:  # a constant exponent stays below its cap everywhere
         onset = least_index(form_claims(cf.form, -1, ((0.0, 0, cap),)), cf.var, onset)
@@ -390,7 +389,7 @@ def _block_branches(exponent: E.ExponentSequence) -> Optional[list[Branch]]:
             return None
         if not cf.is_inf and cf.var == VAR_N:
             lim = cf.form.limit()
-            if not (math.isfinite(lim) and cf.form.is_const(lim)):
+            if lim == INF or lim == -INF or not cf.form.is_const(lim):
                 return None
     return branches
 
@@ -403,7 +402,7 @@ def _add_block(total: float, alpha: float, blocks, k: int, start: int, end: int)
         count = b.pset.count_in_range(max(start, b.onset, cf.onset), end)
         if count == 0:
             continue
-        val = cf.eval_x(float(k)) if cf.var == VAR_A else cf.limit()
+        val = cf.eval_x(float(k)) if cf.var == VAR_A else float(cf.limit())
         if val != INF:
             total += count * alpha**val
     return total

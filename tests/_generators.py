@@ -7,17 +7,23 @@ Two flavors:
   following additive constant, is avoided by never putting Linear inside Sum).
 * ``gen_pair`` — (p, q) descriptor pairs exercising the classifier: related
   pairs (equal spaces, drifted copies, gapped pairs) are overrepresented so
-  the invariant checks see all verdict combinations.
+  the invariant checks see all verdict combinations.  Its constants are
+  dyadic, so they are exact as floats.
+* ``gen_decimal_pair`` — ``gen_pair``'s shapes with decimal constants that
+  no float holds exactly (1.1, 0.3, ...), and sums of two decimals against
+  the decimal they add up to.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 
 from nakanoseq import (
     AbsDiff,
     BlockRepeat,
     Const,
     Evens,
+    ExponentSequence,
     Linear,
     Merge,
     NakanoExponent,
@@ -113,3 +119,32 @@ def gen_pair(rng: random.Random):
     if roll < 0.70:
         return Sum(p, Const(rng.choice([1.0, 2.0]))), p  # reverse gap
     return p, gen_exponent(rng)
+
+
+# each dyadic constant of gen_pair -> a nearby decimal with the same role and sign
+_DECIMALS = {1.0: 1.1, 1.5: 1.7, 2.0: 2.2, 3.0: 3.3, 10.0: 2.6, 0.5: 0.3, -0.5: -0.3, -1.0: -1.1, -2.0: -2.2}
+SUMMANDS = [1.01, 1.1, 1.2, 1.3, 1.7, 2.2, 2.6, 3.3]
+
+
+def _decimal_copy(seq):
+    """``seq`` with every float field v, prefix overrides included, replaced by _DECIMALS[v]."""
+    changes = {}
+    for f in fields(seq):
+        v = getattr(seq, f.name)
+        if isinstance(v, ExponentSequence):
+            changes[f.name] = _decimal_copy(v)
+        elif isinstance(v, float):
+            changes[f.name] = _DECIMALS.get(v, v)
+        elif isinstance(v, tuple):  # Prefix overrides
+            changes[f.name] = tuple((i, _DECIMALS.get(x, x)) for i, x in v)
+    return replace(seq, **changes)
+
+
+def gen_decimal_pair(rng: random.Random):
+    """One draw in five a + b against the decimal round(a + b, 10), a and b from SUMMANDS;
+    otherwise a ``gen_pair`` draw with its constants swapped for decimals."""
+    if rng.random() < 0.2:
+        a, b = rng.choice(SUMMANDS), rng.choice(SUMMANDS)
+        return Sum(Const(a), Const(b)), Const(round(a + b, 10))
+    p, q = gen_pair(rng)
+    return _decimal_copy(p), _decimal_copy(q)

@@ -2,7 +2,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -408,3 +411,24 @@ def test_exit_2_past_the_depth_cap(capsys, expr):
 
 def test_seed_flag_removed(capsys):
     assert run(capsys, "norm", "2", "[[1,1]]", "--seed", "3")[0] == 2
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that closes the pipe early (as `| head` does) ends the run with exit code 1
+    and nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nakanoseq.cli", "compare", "1 + 1/n", "n"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 1
+    assert proc.stderr == ""

@@ -266,9 +266,10 @@ def test_gap_positive_onset_is_sound():
 
 
 def test_gap_onset_is_the_least_index_past_every_float():
-    # 1 − 2·n^-0.01 >= 0 first at the least n >= 2^(1/e), e the float nearest 0.01
+    # the exponent is read as 1/100, so 1 − 2·n^(−1/100) >= 0 first at n = 2^100, where it is
+    # exactly 0: a zero that only the integer sign at a perfect 100th power settles
     g = liminf_abs_gap(parse_expression("3 - 2/n^0.01"), Const(1))
-    assert (g.kind, g.epsilon, g.onset) == (GapKind.POSITIVE, 1.0, 1267650600228227572400579719433)
+    assert (g.kind, g.epsilon, g.onset) == (GapKind.POSITIVE, 1.0, 2**100)
 
 
 def test_gap_zero_on_one_merge_branch_wins():

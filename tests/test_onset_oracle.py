@@ -3,7 +3,9 @@
 It evaluates descriptors itself, written apart from ``_asymptotics`` and from
 ``eval``/``eval_range``: every value at an index n is ∞ (a sentinel) or an exact
 element a + b·√n of Q(√n) with fractions a, b, which covers the integer and
-half-integer powers of n that the seed-88 pairs use; ``blocks`` takes its exact
+half-integer powers of n that the seed-88 pairs use; each descriptor constant is
+read as the decimal it prints as (all seed-88 constants are dyadic, so this is
+their float value); ``blocks`` takes its exact
 value from integer block starts, and the logarithms in series claims are
 decimal enclosures.  A claim at an index is True, False, or None when an
 enclosure does not decide it.
@@ -59,9 +61,9 @@ def block_first(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _num(v: float):
-    """A descriptor's float as an int when it is one, else as a fraction: ints keep
-    the arithmetic fast."""
-    v = Fraction(v)
+    """A descriptor's float read as the decimal it prints as, as the analysis reads it: an
+    int when it is one, else a fraction (ints keep the arithmetic fast)."""
+    v = Fraction(repr(v))
     return v.numerator if v.denominator == 1 else v
 
 
@@ -72,7 +74,7 @@ def _rat(v) -> tuple:
 @lru_cache(maxsize=None)
 def _power(n: int, e: float) -> tuple:
     """n**e for a half-integer e, as a + b·√n."""
-    k = Fraction(e) * 2
+    k = Fraction(repr(e)) * 2
     assert k.denominator == 1, f"exponent {e} is not a half-integer"
     half, odd = divmod(int(k), 2)
     v = Fraction(n) ** half if half < 0 else n**half

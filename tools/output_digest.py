@@ -26,12 +26,16 @@ Corpora:
   seed-88 reports and the three verdicts of each of the 200 space profiles;
 * ``verdicts`` — the JSON of each criteria and gap function called on its own
   (``inclusion_holds`` … ``signed_liminf_gap``, and ``profile`` of p and of q)
-  for the first 100 seed-88 pairs.
+  for the first 100 seed-88 pairs;
+* ``decimals`` — ``full_report(witness_count=0).to_json()`` on the 36 sums
+  ``a + b`` against ``round(a + b, 10)``, a ≤ b from ``SUMMANDS``, and on 200
+  seed-88 ``gen_decimal_pair`` draws.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -114,6 +118,14 @@ def _verdicts(N, pairs):
     return lines
 
 
+def _decimals(N, gens):
+    sums = [(f"{a!r} + {b!r}", repr(round(a + b, 10))) for a, b in itertools.combinations_with_replacement(gens.SUMMANDS, 2)]
+    pairs = [tuple(map(N.parse_expression, pq)) for pq in sums]
+    rng = random.Random(88)
+    pairs += [gens.gen_decimal_pair(rng) for _ in range(200)]
+    return [json.dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
+
+
 def _cli(src, gen):
     _, vector = gen.cli_pool(2, 1)
     readme = [
@@ -167,6 +179,7 @@ def main() -> int:
         "cli": _cli(src, gen),
         "text": _text(report_objs, profiles),
         "verdicts": _verdicts(N, pairs),
+        "decimals": _decimals(N, gens),
     }
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
