@@ -13,12 +13,15 @@ so limits and eventual signs are exact, and every onset is the least index
 from which an inequality built in the same sums holds, decided exactly by
 ``least_index``.  Floats leave only where a record prints an exact value.
 
-Branches that mix n and a_n (e.g. |n - a_n|) fall back to interval
-arithmetic over the argument profiles and yield honest Unknowns.
+Branches that mix n and a_n (e.g. |n - a_n|) have no closed form.  Each
+carries an exact enclosure of its limit points instead, formed by the same
+combination rules at the corners of its operands' enclosures; the verdicts
+that need a form answer Unknown on it.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -30,6 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import exponents as E
+from .errors import SemanticError
 from .indexsets import Periodic
 from .verdicts import Answer, Record
 
@@ -206,32 +210,22 @@ def _dec(v) -> Decimal:
     return Decimal(v) if type(v) is float else Decimal(v.numerator) / Decimal(v.denominator)
 
 
-def _log_exact(x: int, base: Optional[int]) -> Optional[int]:
-    """j with base**j == x, for an integer base, if there is one."""
-    j = round(math.log(x, base)) if base else None
-    return j if j is not None and base**j == x else None
-
-
 class Claim:
     """The claim s(x) >= 0 (> 0 when ``strict``) at integers x >= 1, where s is the sum of
-    m·x^g·(log x)^l over the terms (g, l, m) of an exact sum, its denominator dropped.  The
-    logarithm is natural, or to the integer ``base``."""
+    m·x^g·(ln x)^l over the terms (g, l, m) of an exact sum, its denominator dropped."""
 
-    __slots__ = ("terms", "strict", "base")
+    __slots__ = ("terms", "strict")
 
-    def __init__(self, terms, strict: bool = False, base: Optional[int] = None):
-        self.terms, self.strict, self.base = terms, strict, base
+    def __init__(self, terms, strict: bool = False):
+        self.terms, self.strict = terms, strict
 
     def sign(self, x: int) -> Optional[int]:
-        """The exact sign of s(x): by integers where every log is exact and every power is in
-        Z/2, or in (1/b)Z at x = r^b, else from floats with an error bound or from decimal
-        enclosures; None when none settles it."""
+        """The exact sign of s(x): by integers at x = 1 or where every power is in Z/2, or in
+        (1/b)Z at x = r^b, else from floats with an error bound or from decimal enclosures;
+        None when none settles it."""
         terms = self.terms
-        j = 0 if x == 1 else _log_exact(x, self.base)
-        if j is not None:  # log x = j
-            terms = [(g, 0, m * j**l) for g, l, m in terms if j or not l]
-            if x == 1:
-                return _sgn(sum(m for *_, m in terms))
+        if x == 1:  # ln x = 0
+            return _sgn(sum(m for _, l, m in terms if not l))
         if all(not l for _, l, _ in terms):  # s(x) = Σ m·x^(k/b)
             ratios = [(g.as_integer_ratio(), m) for g, _, m in terms]
             b = math.lcm(2, *(q for (_, q), _ in ratios))
@@ -246,28 +240,29 @@ class Claim:
                 return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
             if b < x.bit_length() and (r := _root(x, b)) ** b == x:  # s(x)·r^-low in integers
                 return _sgn(sum(m * r ** (k - low) for k, m in ks))
-        # floats, scaled by x^-t: each term within (|e| + |t| + 16)·2^-49 of its value
+        # floats, scaled by x^-t and by 2^-k so that the coefficients keep under 1000 bits: each
+        # term within (|e| + |t| + 16)·2^-49 of its value, plus its weight w for the bits cut
         u = math.log(x)
-        lf = u / math.log(self.base) if self.base else u
         fl = [(float(g) * u, l, m) for g, l, m in terms]
         top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
-        if all(abs(m).bit_length() < 1000 for *_, m in fl):
-            for e, l, m in fl:
-                v = m * math.exp(e - top) * (lf if l else 1.0)
-                tot += v
-                err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000
-            if abs(tot) > err:
-                return _sgn(tot)
+        k = max(0, max(abs(m).bit_length() for *_, m in fl) - 999)
+        for e, l, m in fl:
+            w = math.exp(e - top) * (u if l else 1.0)
+            m >>= k
+            v = m * w
+            tot += v
+            err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000 + (w if k else 0.0)
+        if abs(tot) > err:
+            return _sgn(tot)
         # correctly rounded ln and exp: each term within (|y| + 12)·10^(1-prec) of its value
         prec = x.bit_length() * 3 // 10 + 30
         for prec in (prec, 2 * prec, 4 * prec, 8 * prec):
             with localcontext(prec=prec):
                 lx = Decimal(x).ln()
-                lf = lx / Decimal(self.base).ln() if self.base else lx
                 tot = err = Decimal(0)
                 for g, l, m in terms:
                     y = _dec(g) * lx
-                    v = m * y.exp() * (lf if l else 1)
+                    v = m * y.exp() * (lx if l else 1)
                     tot, err = tot + v, err + abs(v) * (abs(y) + 12 + len(terms))
                 if abs(tot) > 2 * err * Decimal(10) ** (1 - prec):
                     return _sgn(tot)
@@ -546,20 +541,16 @@ def _cf(form: RForm, var: Optional[str], onset: Optional[int] = 1) -> ClosedForm
 
 
 def _join_var(a: Optional[str], b: Optional[str]) -> tuple[bool, Optional[str]]:
-    if a is None:
-        return True, b
-    if b is None or a == b:
-        return True, a
-    return False, None
+    ok = a is None or b is None or a == b
+    return ok, (a or b) if ok else None
 
 
 _COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
 _OPERANDS = {cls: tuple(f.name for f in fields(cls)) for cls in _COMBINATORS}
 
 
-def closed_form(core) -> Optional[ClosedForm]:
-    """Closed form of a Merge/Prefix-free descriptor, or None when the
-    branch mixes n and a_n."""
+def closed_form(core) -> ClosedForm:
+    """Closed form of a base descriptor: a constant, a drift, a linear sequence or the blocks."""
     if isinstance(core, E.Const):
         if core.value == INF:
             return _cf_inf()
@@ -575,10 +566,6 @@ def closed_form(core) -> Optional[ClosedForm]:
         return _cf(RForm(PSum.make([(1.0, 0, _decimal(core.slope)), (0.0, 0, _decimal(core.intercept))])), VAR_N)
     if isinstance(core, E.BlockRepeat):
         return _cf(RForm(_X), VAR_A)
-    names = _OPERANDS.get(type(core))
-    if names is None:
-        return None  # Merge/Prefix must be normalized away first; unknown types opt out
-    return _combine_forms(type(core), [closed_form(getattr(core, name)) for name in names])
 
 
 def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
@@ -623,18 +610,82 @@ def _combine_forms(kind, cfs: list) -> Optional[ClosedForm]:
     sign = d.sign  # 0 only for a zero denominator: d is infinite
     if sign and var is not None:  # d keeps its sign from here on; a constant d keeps it everywhere
         base = least_index(form_claims(d, sign), var, base)
-    onset = base
     if kind is E.RnOf:
-        return _cf_inf(onset) if sign < 0 else _cf(d.recip(), var, onset)
+        return _cf_inf(base) if sign < 0 else _cf(d.recip(), var, base)
     absd = d if sign >= 0 else RForm(d.num.scale(-1), d.den)
     if kind is E.AbsDiff:
-        return _cf(absd, var, onset)
-    return _cf(x.mul(y).mul(absd.recip()), var, onset)
+        return _cf(absd, var, base)
+    return _cf(x.mul(y).mul(absd.recip()), var, base)
 
 
 # --------------------------------------------------------------------------
-# branch normalization (Merge/Prefix pushdown)
+# limit enclosures and branch normalization (Merge/Prefix pushdown)
 # --------------------------------------------------------------------------
+
+
+def printed(v) -> float:
+    """The float an exact value prints as: the nearest one, except that a value other than 1
+    whose nearest float is 1 prints as 1's neighbour on its side.  A SemanticError past the
+    float range, where no float prints it."""
+    try:
+        f = float(v)
+    except OverflowError:
+        raise SemanticError("an exact value lies beyond the float range") from None
+    if f == 1.0 and v != 1:
+        return math.nextafter(1.0, 2.0 if v > 1 else 0.0)
+    return f
+
+
+@dataclass(frozen=True)
+class Bounds:
+    """Certified enclosure of an extended-real quantity, with exact ends: rationals or ±inf.
+    They print, and write to JSON, as the floats ``printed`` gives."""
+
+    lo: object
+    hi: object
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError("inverted bounds")
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
+
+    @staticmethod
+    def exactly(v) -> "Bounds":
+        return Bounds(v, v)
+
+    def to_json(self):
+        return [E._num(printed(self.lo)), E._num(printed(self.hi))]
+
+    def __str__(self):
+        return f"[{_g(self.lo)}, {_g(self.hi)}]"
+
+
+def _g(v) -> str:
+    """An exact value printed to six digits, but in full where those read 1 and it is not 1."""
+    f = printed(v)
+    return repr(f) if f != 1.0 and f"{f:g}" == "1" else f"{f:g}"
+
+
+def _enclosure(kind, ranges: list[Bounds]) -> Bounds:
+    """An exact enclosure of the limit points of a ``kind`` combinator whose operands' limit
+    points lie in ``ranges``.  Each combinator is monotone in each operand, |p − q| and the
+    Nakano exponent wherever p − q keeps its sign, so its limits at the corners of the ranges
+    bound it; where two ranges overlap, |p − q| reaches 0 and the Nakano exponent ∞.  A corner
+    that is an indeterminate form (∞ − ∞ in |p − q|, both operands 0 in r_n or the Nakano
+    exponent) leaves [0, ∞]."""
+    corners = list(itertools.product(*((r.lo, r.hi) for r in ranges)))
+    undefined = (INF, INF) if kind is E.AbsDiff else (0, 0)  # ∞ − ∞, or 1/0 − 1/0
+    if kind in (E.AbsDiff, E.RnOf, E.NakanoExponent) and undefined in corners:
+        return Bounds(0, INF)
+    consts = [[_cf_inf() if v == INF else _cf(RForm.const(v), None) for v in c] for c in corners]
+    vals = [_combine_forms(kind, cfs).limit() for cfs in consts]
+    lo, hi = min(vals), max(vals)
+    if kind in (E.AbsDiff, E.NakanoExponent) and ranges[0].lo <= ranges[1].hi and ranges[1].lo <= ranges[0].hi:
+        lo, hi = (0, hi) if kind is E.AbsDiff else (lo, INF)
+    return Bounds(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -642,17 +693,20 @@ class Branch:
     pset: Periodic  # pure periodic set, exceptions folded into onset
     core: object  # Merge/Prefix-free ExponentSequence
     onset: int
-    form: Optional[ClosedForm] = field(compare=False, repr=False)  # closed_form(core)
+    form: Optional[ClosedForm] = field(compare=False, repr=False)  # None where the branch mixes n and a_n
+    bounds: Optional[Bounds] = field(default=None, compare=False, repr=False)  # if so, its limits' enclosure
+
+    @property
+    def limits(self) -> Bounds:
+        """An exact enclosure of the branch's limit points: its form's limit, or ``bounds``."""
+        return self.bounds if self.form is None else Bounds.exactly(self.form.limit())
 
 
 _ALL = Periodic(1, frozenset({0}))
 
 
 def _strip(per: Periodic) -> tuple[Periodic, int]:
-    onset = 1
-    if per.plus or per.minus:
-        onset = max(per.plus | per.minus) + 1
-    return Periodic(per.modulus, per.residues), onset
+    return Periodic(per.modulus, per.residues), max(per.plus | per.minus, default=0) + 1
 
 
 def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, ...], int]]:
@@ -671,12 +725,15 @@ def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, 
 
 
 def _joint(kind, rows) -> list[Branch]:
-    """The branches of a ``kind`` combinator over the refined ``rows`` of its
-    operands; each closed form is combined from the operand branches' forms."""
-    return [
-        Branch(ps, kind(*[b.core for b in parts]), onset, _combine_forms(kind, [b.form for b in parts]))
-        for ps, parts, onset in rows
-    ]
+    """The branches of a ``kind`` combinator over the refined ``rows`` of its operands: each
+    closed form is combined from the operand branches' forms, and where there is none, the
+    enclosure from their enclosures."""
+    out = []
+    for ps, parts, onset in rows:
+        cf = _combine_forms(kind, [b.form for b in parts])
+        bounds = _enclosure(kind, [b.limits for b in parts]) if cf is None else None
+        out.append(Branch(ps, kind(*[b.core for b in parts]), onset, cf, bounds))
+    return out
 
 
 def normalize(seq) -> list[Branch]:
@@ -685,7 +742,7 @@ def normalize(seq) -> list[Branch]:
     def rec(s) -> list[Branch]:
         if isinstance(s, E.Prefix):
             bump = s.max_override() + 1
-            return [Branch(b.pset, b.core, max(b.onset, bump), b.form) for b in rec(s.tail)]
+            return [Branch(b.pset, b.core, max(b.onset, bump), b.form, b.bounds) for b in rec(s.tail)]
         if isinstance(s, E.Merge):
             per, p_onset = _strip(s.index_set.periodic())
             out = []
@@ -693,7 +750,7 @@ def normalize(seq) -> list[Branch]:
                 for b in rec(sub):
                     ps = part.intersect(b.pset)
                     if ps.is_infinite():
-                        out.append(Branch(ps, b.core, max(p_onset, b.onset), b.form))
+                        out.append(Branch(ps, b.core, max(p_onset, b.onset), b.form, b.bounds))
             return out
         if type(s) in _OPERANDS:
             return _joint(type(s), _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]]))
@@ -708,32 +765,6 @@ def normalize(seq) -> list[Branch]:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Certified enclosure of an extended-real quantity."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("inverted bounds")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @staticmethod
-    def exactly(v: float) -> "Bounds":
-        return Bounds(v, v)
-
-    def to_json(self):
-        return [E._num(self.lo), E._num(self.hi)]
-
-    def __str__(self):
-        return f"[{self.lo:g}, {self.hi:g}]"
-
-
-@dataclass(frozen=True)
 class AsymptoticProfile(Record):
     liminf: Bounds
     limsup: Bounds
@@ -741,53 +772,6 @@ class AsymptoticProfile(Record):
     onset: int
     exact: bool
     sample_range: Optional[tuple[float, float]] = None  # non-certified estimate
-
-
-def _recip_bounds(a: Bounds) -> Bounds:
-    """Enclosure of 1/x for x in ``a``, with 1/∞ = 0 and 1/0 = ∞."""
-    lo = 0.0 if a.hi == INF else 1.0 / a.hi
-    hi = INF if a.lo == 0.0 else (1.0 / a.lo if a.lo != INF else 0.0)
-    return Bounds(min(lo, hi), max(lo, hi))
-
-
-def _abs_diff_bounds(a: Bounds, b: Bounds) -> Bounds:
-    """Enclosure of |x - y| for x in ``a``, y in ``b``, with ∞ - ∞ = 0."""
-    if a.hi == INF and b.hi == INF:
-        return Bounds(0.0, INF)
-    hi = max(a.hi - b.lo, b.hi - a.lo, 0.0)
-    lo = max(0.0, b.lo - a.hi, a.lo - b.hi)
-    return Bounds(min(lo, hi), hi)
-
-
-def _interval_range(core) -> Bounds:
-    """Enclosure of all accumulation values of a Merge-free branch."""
-    cf = closed_form(core)
-    if cf is not None:
-        return Bounds.exactly(float(cf.limit()))
-    kind = type(core)
-    if kind not in _OPERANDS:
-        return Bounds(0.0, INF)
-    ranges = [_interval_range(getattr(core, name)) for name in _OPERANDS[kind]]
-    if kind is E.Recip:
-        return _recip_bounds(ranges[0])
-    a, b = ranges
-    if kind is E.AbsDiff:
-        return _abs_diff_bounds(a, b)
-    if kind is E.Sum:
-        return Bounds(a.lo + b.lo, a.hi + b.hi)
-    if kind is E.RnOf:
-        inv_p, inv_q = _recip_bounds(a), _recip_bounds(b)
-        d_hi = inv_q.hi - inv_p.lo
-        d_lo = inv_q.lo - inv_p.hi
-        if d_hi <= 0:
-            return Bounds(INF, INF)
-        lo = 1.0 / d_hi
-        hi = INF if d_lo <= 0 else 1.0 / d_lo
-        return Bounds(min(lo, hi), max(lo, hi))
-    d = _abs_diff_bounds(a, b)  # NakanoExponent
-    lo = 0.0 if d.hi == INF or d.hi == 0.0 else a.lo * b.lo / d.hi
-    hi = INF if d.lo == 0.0 else a.hi * b.hi / d.lo
-    return Bounds(min(lo, hi), max(lo, hi))
 
 
 class Analysis:
@@ -800,17 +784,13 @@ class Analysis:
     def profile(self) -> AsymptoticProfile:
         """Limit enclosures per branch; the onset is the least index from which every
         branch with a finite limit stays within ``PROFILE_TOL`` of it."""
-        lims, onset = [], 1
-        for b in self.branches:
-            cf = b.form
-            if cf is None:
-                lim, b_onset = _interval_range(b.core), b.onset
-            else:
-                val = float(cf.limit())
-                lim, b_onset = Bounds.exactly(val), _later(b.onset, cf.onset)
-                if val != INF and val != -INF and cf.var is not None:  # within PROFILE_TOL of the printed limit
-                    b_onset = least_index(band_claims(cf.form, val, PROFILE_TOL), cf.var, b_onset, b.pset)
-            lims.append(lim)
+        lims, onset = [b.limits for b in self.branches], 1
+        for b, lim in zip(self.branches, lims):
+            cf, b_onset = b.form, b.onset
+            if cf is not None:
+                b_onset = _later(b_onset, cf.onset)
+                if lim.lo != INF and lim.lo != -INF and cf.var is not None:  # within PROFILE_TOL of the printed limit
+                    b_onset = least_index(band_claims(cf.form, printed(lim.lo), PROFILE_TOL), cf.var, b_onset, b.pset)
             onset = _later(onset, b_onset)
 
         lo, hi = [x.lo for x in lims], [x.hi for x in lims]
@@ -917,10 +897,10 @@ def _branch_gap(row) -> BranchGap:
     kind, size = (SignKind.POSITIVE, limit) if limit > 0 else (SignKind.NEGATIVE, -limit)
     if size == INF:
         return BranchGap(kind, 0.5, "gap diverges", d, var, base, pset)
+    eps = printed(size)
     if d.is_const(limit):  # ε the largest float at most the gap
-        eps = float(size)
         return BranchGap(kind, eps if eps <= size else math.nextafter(eps, 0.0), "gap is constant", d, var, base, pset)
-    return BranchGap(kind, float(size) / 2.0, f"gap -> {float(size):g}", d, var, base, pset)
+    return BranchGap(kind, eps / 2.0, f"gap -> {eps:g}", d, var, base, pset)
 
 
 class PairAnalysis:

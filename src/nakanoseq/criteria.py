@@ -7,11 +7,11 @@ anything the profiles cannot resolve stays an honest Unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import exponents as E
-from ._asymptotics import Analysis, AsymptoticProfile, Branch, GapKind, GapResult, PairAnalysis, SignKind, at
+from ._asymptotics import Analysis, AsymptoticProfile, GapKind, GapResult, PairAnalysis, SignKind, at
 from .errors import HorizonExhausted, InternalInconsistency
 from .series import _exists_alpha, decide_branch
 from .verdicts import (
@@ -152,7 +152,7 @@ def _inclusion_holds(a: PairAnalysis) -> Verdict:
     for g, nak in zip(a.branch_gaps, a.nakano):
         if g.kind is not SignKind.POSITIVE:
             continue
-        ans, nak_cert = decide_branch(Branch(nak.pset, nak.core, g.onset, nak.form), None)
+        ans, nak_cert = decide_branch(replace(nak, onset=g.onset), None)
         if ans is Answer.NO:
             cert = GapEvidence(
                 f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {at(g.onset)} "

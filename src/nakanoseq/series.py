@@ -32,12 +32,12 @@ from ._asymptotics import (
     VAR_A,
     VAR_N,
     _later,
-    _log_exact,
     at,
     block_onset,
     form_claims,
     least_index,
     normalize,
+    printed,
 )
 from .errors import SemanticError
 from .indexsets import Periodic
@@ -166,9 +166,10 @@ def _log_onset(form, alpha: float, sign: int, ln_terms=(), consts=(), floor: Opt
 
         num, den = claims(0)
         onset = least_index((num, den), VAR_N, floor)
-        while ties and onset and onset > floor and _log_exact(onset - 1, 2**k) is not None:
-            terms = [(g, 1, c) for g, c in ln_terms] + [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
-            exact = Claim(form_claims(form, sign, terms)[0].terms, base=2**k)
+        while ties and onset and onset > floor and (2**k) ** (j := round(math.log(onset - 1, 2**k))) == onset - 1:
+            terms = [(g, 0, c * j) for g, c in ln_terms]  # log x = j at x = (2^k)^j, in logarithms to base 2^k
+            terms += [(g, 0, c * Fraction(int(math.log2(v)), k)) for g, c, v in consts]
+            exact = Claim(form_claims(form, sign, terms)[0].terms)
             if not (exact.holds(onset - 1) and den.holds(onset - 1)):
                 break
             onset -= 1
@@ -184,8 +185,8 @@ def _n_convergence_cert(cf: ClosedForm, alpha: float, base_onset: int):
     form = cf.form
     gamma = form.degree()
     floor = _later(base_onset, cf.onset)
-    if gamma >= 1.0:
-        c = float(form.lead_coeff() / 2) if gamma == 1 else 1.0
+    if gamma >= 1.0:  # c at most half the slope, and small enough that α^c is a positive normal float
+        c = printed(min(form.lead_coeff() / 2 if gamma == 1 else 1, 1021 / -math.log2(alpha)))
         onset = least_index(form_claims(form, 1, ((1.0, 0, -c),)), VAR_N, floor)
         ratio = alpha**c
         return GeometricComparison(
@@ -232,7 +233,7 @@ def _block_divergence_cert(cf: ClosedForm, alpha: float, pset: Periodic):
 def _bounded_divergence_cert(cf: ClosedForm, alpha: Optional[float], base_onset: int):
     """Exponent has a finite limit on the branch, so terms never vanish: it stays at most
     the limit + 1 from the least index on."""
-    cap = float(cf.limit()) + 1.0
+    cap = printed(cf.limit()) + 1.0
     onset = _later(base_onset, cf.onset)
     if cf.var is not None:  # a constant exponent stays below its cap everywhere
         onset = least_index(form_claims(cf.form, -1, ((0.0, 0, cap),)), cf.var, onset)
@@ -402,7 +403,7 @@ def _add_block(total: float, alpha: float, blocks, k: int, start: int, end: int)
         count = b.pset.count_in_range(max(start, b.onset, cf.onset), end)
         if count == 0:
             continue
-        val = cf.eval_x(float(k)) if cf.var == VAR_A else float(cf.limit())
+        val = cf.eval_x(float(k)) if cf.var == VAR_A else printed(cf.limit())
         if val != INF:
             total += count * alpha**val
     return total

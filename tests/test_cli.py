@@ -93,6 +93,29 @@ def test_space_notes_an_exhausted_witness_scan(capsys):
     assert "exhausted" not in out
 
 
+@pytest.mark.parametrize(
+    "expr, lines",
+    [
+        ("nakexp(n + blocks, 2)", ["reflexive: Yes", "liminf p_n in [2, 2], limsup p_n in [2, 2]"]),
+        ("1 + recip(recip(n + blocks))", ["contains_linf_copy: Yes", "liminf p_n in [inf, inf]", "linf witness"]),
+        ("1 + recip(1e16)", ["reflexive: Yes", "liminf p_n in [1.0000000000000002, 1.0000000000000002]"]),
+    ],
+)
+def test_space_reads_exact_limits(capsys, expr, lines):
+    code, out, err = run(capsys, "space", expr)
+    assert (code, err) == (0, "")
+    for line in lines:
+        assert line in out
+    assert "[1, 1]" not in out
+
+
+def test_compare_prints_a_positive_geometric_base(capsys):
+    code, out, _ = run(capsys, "compare", "1 + 1e-300/n", "1")
+    assert code == 0
+    assert "α = 0.5; exponent >= 1021·n from n = 1, so terms <= (4.45015e-308)^n" in out.splitlines()[0]
+    assert "(0)^n" not in out
+
+
 def test_compare_example_one(capsys):
     code, out, _ = run(capsys, "compare", "1 + 1/n", "n")
     assert code == 0
@@ -189,6 +212,15 @@ def test_exit_2_on_overflowing_literal(capsys):
     assert code == 2
     assert out == ""
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("argv", [("space", "1e308 + 1e308"), ("compare", "nakexp(1e308, 1.5e308)", "2")])
+def test_exit_2_on_a_limit_beyond_the_float_range(capsys, argv):
+    # the limits are 2e308 and 3e308: exact, but printed by no float
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: an exact value lies beyond the float range\n"
 
 
 def test_exit_2_on_bad_vector(capsys):

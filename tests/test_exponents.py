@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from nakanoseq import (
     signed_liminf_gap,
 )
 import nakanoseq
+from nakanoseq._asymptotics import normalize
 from nakanoseq.exponents import EVAL_BLOCK, from_json
 
 from _generators import gen_dsl_ast, gen_exponent
@@ -308,6 +310,47 @@ def test_profile_random_descriptors_enclose_samples():
             assert finite.max() <= prof.limsup.hi + 1e-9
         if finite.size and prof.liminf.lo != INF:
             assert finite.min() >= prof.liminf.lo - 1e-9
+
+
+MIXED_ENCLOSURES = [
+    ("recip(n + recip(blocks))", (0, 0)),
+    ("absdiff(n, blocks)", (0, INF)),  # ∞ − ∞
+    ("rn(3, 2 + recip(n + blocks))", (6, 6)),
+    ("rn(recip(n + blocks), 2)", (INF, INF)),
+    ("nakexp(n + blocks, 2)", (2, 2)),
+    ("nakexp(blocks + recip(n), n)", (INF, INF)),  # p·q/|p − q| >= min(p, q)
+    ("recip(recip(n + blocks))", (INF, INF)),
+]
+
+
+@pytest.mark.parametrize("expr, ends", MIXED_ENCLOSURES)
+def test_mixed_branch_enclosure_is_exact(expr, ends):
+    # a branch that mixes n and a_n has no closed form; its enclosure comes from the same
+    # combination rules at the corners of its operands' enclosures
+    seq = parse_expression(expr)
+    (branch,) = normalize(seq)
+    assert branch.form is None
+    assert (branch.bounds.lo, branch.bounds.hi) == ends
+    prof = profile(seq)
+    assert (prof.liminf.lo, prof.liminf.hi) == ends == (prof.limsup.lo, prof.limsup.hi)
+    if INF not in ends:  # far out, the values approach it
+        for n in (10**6, 10**9, 10**12):
+            assert ends[0] - 1e-4 <= seq.eval(n) <= ends[1] + 1e-4
+
+
+def test_profile_onset_past_the_printable_range_is_null():
+    # |f − 2| <= 1e-9 holds only past 10^4300; the signs near there need 1027-bit
+    # coefficients, which the float tier scales instead of leaving to decimals
+    prof = profile(parse_expression("2 + 1e300/n^1e-300"))
+    assert (prof.liminf.lo, prof.limsup.hi) == (2, 2)
+    assert prof.onset is None
+
+
+def test_profile_limit_next_to_one_is_exact():
+    prof = profile(parse_expression("1 + recip(1e16)"))
+    assert prof.liminf.lo > 1 and prof.liminf.lo - 1 == Fraction(1, 10**16)
+    assert prof.liminf.to_json() == [1.0000000000000002, 1.0000000000000002]
+    assert str(prof.liminf) == "[1.0000000000000002, 1.0000000000000002]"
 
 
 def test_rn_of_zero_operand_follows_reciprocal_rule():

@@ -1,6 +1,7 @@
 """Certified series decisions: verdicts, certificate soundness, partial sums."""
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ def test_convergence_infinite_exponents_trivial_yes():
 
 
 # -- exists_alpha ----------------------------------------------------------------
+
+
+def test_geometric_base_stays_a_positive_normal_float():
+    # the exponent of rn(1 + 1e-300/n, 1) is 1e300·n + 1: half its slope, 5e299, would make
+    # α^c underflow to 0, so c is capped at 1021/|log2 α| and the onset decided for that c
+    v = one_in_lrn(RationalDrift(1.0, 1e-300, 1.0), Const(1.0))
+    cert = v.certificate.inner
+    assert (cert.ratio, cert.onset) == (2.0**-1021, 1)
+    assert cert.statement == "exponent >= 1021·n from n = 1, so terms <= (4.45015e-308)^n"
+    for alpha in (0.5, 1e-300, 5e-324):
+        cert = decide_convergence(alpha, Linear(1e300)).certificate
+        assert sys.float_info.min <= cert.ratio < 1
 
 
 def test_exists_alpha_linear():

@@ -29,7 +29,11 @@ Corpora:
   for the first 100 seed-88 pairs;
 * ``decimals`` — ``full_report(witness_count=0).to_json()`` on the 36 sums
   ``a + b`` against ``round(a + b, 10)``, a ≤ b from ``SUMMANDS``, and on 200
-  seed-88 ``gen_decimal_pair`` draws.
+  seed-88 ``gen_decimal_pair`` draws;
+* ``mixed`` — ``profile(s).to_json()`` and ``space_profile(s,
+  witness_count=0).to_json()`` on branches that mix n and a_n: the
+  ``MIXED`` descriptors, and each combinator over ``n + recip(blocks)``
+  and ``blocks + recip(n)``, nested two levels deep (``_mixed_nests``).
 """
 from __future__ import annotations
 
@@ -54,6 +58,15 @@ REPORT_VERDICTS = (
     "compact",
     "l_weakly_compact",
     "m_weakly_compact",
+)
+MIXED = (
+    "recip(n + recip(blocks))",
+    "absdiff(n, blocks)",
+    "rn(3, 2 + recip(n + blocks))",
+    "rn(recip(n + blocks), 2)",
+    "nakexp(n + blocks, 2)",
+    "nakexp(blocks + recip(n), n)",
+    "recip(recip(n + blocks))",
 )
 SPACE_VERDICTS = ("separable", "reflexive", "contains_linf_copy")
 PAIR_FUNCTIONS = (
@@ -126,6 +139,26 @@ def _decimals(N, gens):
     return [json.dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
 
 
+def _mixed_nests(N):
+    """recip(m) and k(m, m') for each pair combinator k over m, m' in the two mixed operands; then
+    recip(e) and k(e, m), k(m, e) for each of those e."""
+    base = [N.parse_expression(t) for t in ("n + recip(blocks)", "blocks + recip(n)")]
+    pairs = (N.Sum, N.AbsDiff, N.RnOf, N.NakanoExponent)
+    one = [N.Recip(m) for m in base] + [k(a, b) for k in pairs for a in base for b in base]
+    two = [N.Recip(e) for e in one]
+    two += [k(*ab) for k in pairs for e in one for m in base for ab in ((e, m), (m, e))]
+    return one + two
+
+
+def _mixed(N):
+    seqs = [N.parse_expression(t) for t in MIXED] + _mixed_nests(N)
+    return [
+        f"{N.print_expression(s)}\t{json.dumps(N.profile(s).to_json())}\t"
+        f"{json.dumps(N.space_profile(s, witness_count=0).to_json())}"
+        for s in seqs
+    ]
+
+
 def _cli(src, gen):
     _, vector = gen.cli_pool(2, 1)
     readme = [
@@ -180,6 +213,7 @@ def main() -> int:
         "text": _text(report_objs, profiles),
         "verdicts": _verdicts(N, pairs),
         "decimals": _decimals(N, gens),
+        "mixed": _mixed(N),
     }
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
