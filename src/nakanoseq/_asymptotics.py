@@ -243,12 +243,11 @@ class Claim:
         # floats, scaled by x^-t and by 2^-k so that the coefficients keep under 1000 bits: each
         # term within (|e| + |t| + 16)·2^-49 of its value, plus its weight w for the bits cut
         u = math.log(x)
-        fl = [(float(g) * u, l, m) for g, l, m in terms]
+        k = max(0, max(abs(m).bit_length() for *_, m in terms) - 999)
+        fl = [(float(g) * u, l, m >> k) for g, l, m in terms]
         top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
-        k = max(0, max(abs(m).bit_length() for *_, m in fl) - 999)
         for e, l, m in fl:
             w = math.exp(e - top) * (u if l else 1.0)
-            m >>= k
             v = m * w
             tot += v
             err += abs(v) * (abs(e) + abs(top) + 16 + len(fl)) * 2.0**-49 + abs(m) * 2.0**-1000 + (w if k else 0.0)
@@ -541,8 +540,11 @@ def _cf(form: RForm, var: Optional[str], onset: Optional[int] = 1) -> ClosedForm
 
 
 def _join_var(a: Optional[str], b: Optional[str]) -> tuple[bool, Optional[str]]:
-    ok = a is None or b is None or a == b
-    return ok, (a or b) if ok else None
+    if a is None:
+        return True, b
+    if b is None or a == b:
+        return True, a
+    return False, None
 
 
 _COMBINATORS = (E.AbsDiff, E.Sum, E.RnOf, E.NakanoExponent, E.Recip)
@@ -652,10 +654,6 @@ class Bounds:
     def exact(self) -> bool:
         return self.lo == self.hi
 
-    @staticmethod
-    def exactly(v) -> "Bounds":
-        return Bounds(v, v)
-
     def to_json(self):
         return [E._num(printed(self.lo)), E._num(printed(self.hi))]
 
@@ -699,14 +697,20 @@ class Branch:
     @property
     def limits(self) -> Bounds:
         """An exact enclosure of the branch's limit points: its form's limit, or ``bounds``."""
-        return self.bounds if self.form is None else Bounds.exactly(self.form.limit())
+        if self.form is None:
+            return self.bounds
+        lim = self.form.limit()
+        return Bounds(lim, lim)
 
 
 _ALL = Periodic(1, frozenset({0}))
 
 
 def _strip(per: Periodic) -> tuple[Periodic, int]:
-    return Periodic(per.modulus, per.residues), max(per.plus | per.minus, default=0) + 1
+    onset = 1
+    if per.plus or per.minus:
+        onset = max(per.plus | per.minus) + 1
+    return Periodic(per.modulus, per.residues), onset
 
 
 def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, ...], int]]:
