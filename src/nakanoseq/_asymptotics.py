@@ -184,11 +184,13 @@ class RForm(NamedTuple):
         return Fraction(self.num.terms[0][2] * self.den.den, self.den.terms[0][2] * self.num.den)
 
     def limit(self):
-        """The exact limit as x -> +inf: a rational, or ±inf."""
+        """The exact limit as x -> +inf: a rational, a float where that is its value, or ±inf."""
         gamma = self.degree()
         if gamma > 0:
             return INF if self.num.sign == self.den.sign else -INF
-        return self.lead_coeff() if gamma == 0 else 0
+        c = self.lead_coeff() if gamma == 0 else 0
+        n, d = c.numerator, c.denominator
+        return n / d if not d & (d - 1) and abs(n) < 2**53 and d < 2**1000 else c
 
     @property
     def sign(self) -> int:
@@ -240,10 +242,9 @@ class Claim:
                 return s0 or s1 if not (s0 and s1) or s0 == s1 else (s0 if d > 0 else s1 if d < 0 else 0)
             if b < x.bit_length() and (r := _root(x, b)) ** b == x:  # s(x)·r^-low in integers
                 return _sgn(sum(m * r ** (k - low) for k, m in ks))
-        # floats, scaled by x^-t and by 2^-k so that the coefficients keep under 1000 bits: each
-        # term within (|e| + |t| + 16)·2^-49 of its value, plus its weight w for the bits cut
+        # floats, scaled by x^-t and by 2^-k: each term within (|e| + |t| + 16)·2^-49 of its value, + w for the cut
         u = math.log(x)
-        k = max(0, max(abs(m).bit_length() for *_, m in terms) - 999)
+        k = max(0, max(abs(m).bit_length() for *_, m in terms) - 999)  # the coefficients cut to under 1000 bits
         fl = [(float(g) * u, l, m >> k) for g, l, m in terms]
         top, tot, err = max(e for e, _, _ in fl), 0.0, 0.0
         for e, l, m in fl:
@@ -674,7 +675,7 @@ def _enclosure(kind, ranges: list[Bounds]) -> Bounds:
     bound it; where two ranges overlap, |p − q| reaches 0 and the Nakano exponent ∞.  A corner
     that is an indeterminate form (∞ − ∞ in |p − q|, both operands 0 in r_n or the Nakano
     exponent) leaves [0, ∞]."""
-    corners = list(itertools.product(*((r.lo, r.hi) for r in ranges)))
+    corners = set(itertools.product(*((r.lo, r.hi) for r in ranges)))
     undefined = (INF, INF) if kind is E.AbsDiff else (0, 0)  # ∞ − ∞, or 1/0 − 1/0
     if kind in (E.AbsDiff, E.RnOf, E.NakanoExponent) and undefined in corners:
         return Bounds(0, INF)
@@ -692,13 +693,14 @@ class Branch:
     core: object  # Merge/Prefix-free ExponentSequence
     onset: int
     form: Optional[ClosedForm] = field(compare=False, repr=False)  # None where the branch mixes n and a_n
-    bounds: Optional[Bounds] = field(default=None, compare=False, repr=False)  # if so, its limits' enclosure
+    parts: tuple = field(default=(), compare=False, repr=False)  # a combinator's operand branches
 
-    @property
+    @cached_property
     def limits(self) -> Bounds:
-        """An exact enclosure of the branch's limit points: its form's limit, or ``bounds``."""
+        """An exact enclosure of the branch's limit points: its form's limit, or where it has
+        none, the enclosure of its combinator over its operand branches' enclosures."""
         if self.form is None:
-            return self.bounds
+            return _enclosure(type(self.core), [b.limits for b in self.parts])
         lim = self.form.limit()
         return Bounds(lim, lim)
 
@@ -729,15 +731,12 @@ def _refine(operands: list[list[Branch]]) -> list[tuple[Periodic, tuple[Branch, 
 
 
 def _joint(kind, rows) -> list[Branch]:
-    """The branches of a ``kind`` combinator over the refined ``rows`` of its operands: each
-    closed form is combined from the operand branches' forms, and where there is none, the
-    enclosure from their enclosures."""
-    out = []
-    for ps, parts, onset in rows:
-        cf = _combine_forms(kind, [b.form for b in parts])
-        bounds = _enclosure(kind, [b.limits for b in parts]) if cf is None else None
-        out.append(Branch(ps, kind(*[b.core for b in parts]), onset, cf, bounds))
-    return out
+    """The branches of a ``kind`` combinator over the refined ``rows`` of its
+    operands; each closed form is combined from the operand branches' forms."""
+    return [
+        Branch(ps, kind(*[b.core for b in parts]), onset, _combine_forms(kind, [b.form for b in parts]), parts)
+        for ps, parts, onset in rows
+    ]
 
 
 def normalize(seq) -> list[Branch]:
@@ -746,7 +745,7 @@ def normalize(seq) -> list[Branch]:
     def rec(s) -> list[Branch]:
         if isinstance(s, E.Prefix):
             bump = s.max_override() + 1
-            return [Branch(b.pset, b.core, max(b.onset, bump), b.form, b.bounds) for b in rec(s.tail)]
+            return [Branch(b.pset, b.core, max(b.onset, bump), b.form, b.parts) for b in rec(s.tail)]
         if isinstance(s, E.Merge):
             per, p_onset = _strip(s.index_set.periodic())
             out = []
@@ -754,7 +753,7 @@ def normalize(seq) -> list[Branch]:
                 for b in rec(sub):
                     ps = part.intersect(b.pset)
                     if ps.is_infinite():
-                        out.append(Branch(ps, b.core, max(p_onset, b.onset), b.form, b.bounds))
+                        out.append(Branch(ps, b.core, max(p_onset, b.onset), b.form, b.parts))
             return out
         if type(s) in _OPERANDS:
             return _joint(type(s), _refine([rec(getattr(s, name)) for name in _OPERANDS[type(s)]]))

@@ -330,7 +330,7 @@ def test_mixed_branch_enclosure_is_exact(expr, ends):
     seq = parse_expression(expr)
     (branch,) = normalize(seq)
     assert branch.form is None
-    assert (branch.bounds.lo, branch.bounds.hi) == ends
+    assert (branch.limits.lo, branch.limits.hi) == ends
     prof = profile(seq)
     assert (prof.liminf.lo, prof.liminf.hi) == ends == (prof.limsup.lo, prof.limsup.hi)
     if INF not in ends:  # far out, the values approach it
