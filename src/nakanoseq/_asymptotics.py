@@ -14,9 +14,9 @@ from which an inequality built in the same sums holds, decided exactly by
 ``least_index``.  Floats leave only where a record prints an exact value.
 
 Branches that mix n and a_n (e.g. |n - a_n|) have no closed form.  Each
-carries an exact enclosure of its limit points instead, formed by the same
-combination rules at the corners of its operands' enclosures; the verdicts
-that need a form answer Unknown on it.
+has an exact enclosure of its limit points instead, formed by the same
+combination rules at the corners of its operand branches' enclosures; the
+verdicts that need a form answer Unknown on it.
 """
 from __future__ import annotations
 
@@ -641,8 +641,8 @@ def printed(v) -> float:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Certified enclosure of an extended-real quantity, with exact ends: rationals or ±inf.
-    They print, and write to JSON, as the floats ``printed`` gives."""
+    """Certified enclosure of an extended-real quantity, with exact ends: rationals (floats
+    where that is their value) or ±inf.  They print, and write to JSON, as ``printed`` gives."""
 
     lo: object
     hi: object
