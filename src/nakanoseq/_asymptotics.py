@@ -676,7 +676,7 @@ def _enclosure(kind, ranges: list[Bounds]) -> Bounds:
     that is an indeterminate form (∞ − ∞ in |p − q|, both operands 0 in r_n or the Nakano
     exponent) leaves [0, ∞]."""
     corners = set(itertools.product(*((r.lo, r.hi) for r in ranges)))
-    undefined = (INF, INF) if kind is E.AbsDiff else (0, 0)  # ∞ − ∞, or 1/0 − 1/0
+    undefined = (INF, INF) if kind is E.AbsDiff else (0, 0)  # ∞ − ∞; 1/0 − 1/0 in r_n, 0/0 in pq/|p − q|
     if kind in (E.AbsDiff, E.RnOf, E.NakanoExponent) and undefined in corners:
         return Bounds(0, INF)
     consts = [[_cf_inf() if v == INF else _cf(RForm.const(v), None) for v in c] for c in corners]
