@@ -35,7 +35,7 @@ import numpy as np
 from . import exponents as E
 from .errors import SemanticError
 from .indexsets import Periodic
-from .verdicts import Answer, Record
+from .verdicts import Answer, Record, encode
 
 INF = math.inf
 
@@ -656,7 +656,7 @@ class Bounds:
         return self.lo == self.hi
 
     def to_json(self):
-        return [E._num(printed(self.lo)), E._num(printed(self.hi))]
+        return [encode(printed(self.lo)), encode(printed(self.hi))]
 
     def __str__(self):
         return f"[{_g(self.lo)}, {_g(self.hi)}]"
@@ -803,7 +803,8 @@ class Analysis:
         exact = all(b.form is not None for b in self.branches)
         sample = None
         if not exact:
-            vals = self.seq.eval_range(1, SAMPLE_HORIZON + 1)
+            with np.errstate(over="ignore"):  # an overflowing value is ∞, outside the sample
+                vals = self.seq.eval_range(1, SAMPLE_HORIZON + 1)
             finite = vals[np.isfinite(vals)]
             if finite.size:
                 sample = (float(finite.min()), float(finite.max()))

@@ -6,7 +6,6 @@ anything the profiles cannot resolve stays an honest Unknown.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -31,8 +30,6 @@ from .verdicts import (
 )
 from .witness import _equality_witness, _linf_witness
 
-INF = math.inf
-
 
 # --------------------------------------------------------------------------
 # criteria-level evidence records
@@ -44,7 +41,7 @@ class ProfileEvidence(Record, kind="profile_evidence"):
     """A liminf/limsup enclosure backing a profile-based verdict."""
 
     statement: str
-    profile: dict
+    profile: AsymptoticProfile
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,7 @@ class GapEvidence(Record, kind="gap_evidence"):
     """A liminf bound on |p_n - q_n| (or its failure) backing a verdict."""
 
     statement: str
-    gap: dict
+    gap: object  # a GapResult, or a dict of the gap-route epsilon, onset and Nakano certificate
 
 
 @dataclass(frozen=True)
@@ -85,19 +82,26 @@ class SpaceProfile(Record):
         return out
 
 
+def _reflexivity(prof: AsymptoticProfile) -> tuple[Answer, str]:
+    """Whether ℓ_{p_n} is reflexive, that is 1 < liminf p_n <= limsup p_n < ∞, read off p's
+    profile, with its anchor: Prop 1.4 where p is unbounded (a sup-norm copy), else §1-remark."""
+    if prof.bounded_above is Answer.NO:
+        return Answer.NO, LINF_COPY
+    if prof.liminf.hi <= 1:
+        return Answer.NO, SEPARABILITY_REMARK
+    if prof.liminf.lo > 1 and prof.bounded_above is Answer.YES:
+        return Answer.YES, SEPARABILITY_REMARK
+    return Answer.UNKNOWN, ""
+
+
 def _space_verdicts(prof: AsymptoticProfile, ev) -> tuple[Verdict, Verdict, Verdict]:
     """(separable, reflexive, contains a sup-norm copy) read off a profile, with evidence ``ev``."""
+    answer, citation = _reflexivity(prof)
+    reflexive = Verdict(answer, ev, citation)
     if prof.bounded_above is Answer.UNKNOWN:
-        return Verdict(Answer.UNKNOWN, ev), Verdict(Answer.UNKNOWN, ev), Verdict(Answer.UNKNOWN, ev)
+        return Verdict(Answer.UNKNOWN, ev), reflexive, Verdict(Answer.UNKNOWN, ev)
     if prof.bounded_above is Answer.NO:
-        no = Verdict(Answer.NO, ev, LINF_COPY)
-        return no, no, Verdict(Answer.YES, ev, LINF_COPY)
-    if prof.liminf.lo > 1.0:
-        reflexive = Verdict(Answer.YES, ev, SEPARABILITY_REMARK)
-    elif prof.liminf.hi <= 1.0:
-        reflexive = Verdict(Answer.NO, ev, SEPARABILITY_REMARK)
-    else:
-        reflexive = Verdict(Answer.UNKNOWN, ev)
+        return Verdict(Answer.NO, ev, LINF_COPY), reflexive, Verdict(Answer.YES, ev, LINF_COPY)
     return Verdict(Answer.YES, ev, SEPARABILITY_REMARK), reflexive, Verdict(Answer.NO, ev, LINF_COPY)
 
 
@@ -106,7 +110,7 @@ def space_profile(p: E.ExponentSequence, witness_count: int = 5) -> SpaceProfile
     off the certified exponent profile."""
     a = Analysis(p)
     prof = a.profile
-    ev = ProfileEvidence(f"liminf p_n in {prof.liminf}, limsup p_n in {prof.limsup}", prof.to_json())
+    ev = ProfileEvidence(f"liminf p_n in {prof.liminf}, limsup p_n in {prof.limsup}", prof)
     separable, reflexive, linf = _space_verdicts(prof, ev)
     wit = exhausted = None
     if linf.answer is Answer.YES and witness_count > 0:
@@ -157,7 +161,7 @@ def _inclusion_holds(a: PairAnalysis) -> Verdict:
             cert = GapEvidence(
                 f"on an infinite index family p_n >= q_n + {g.epsilon:g} from {at(g.onset)} "
                 "and the restricted spaces are distinct",
-                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak_cert.to_json() if nak_cert else None},
+                {"epsilon": g.epsilon, "onset": g.onset, "nakano": nak_cert},
             )
             return Verdict(Answer.NO, cert, NAKANO_LEMMA)
     if v.answer is Answer.NO:
@@ -177,22 +181,20 @@ def _strictly_singular(a: PairAnalysis, inclusion: Verdict) -> Verdict:
 
     prof_p = a.p.profile
     if prof_p.bounded_above is Answer.NO:
-        ev = ProfileEvidence("limsup p_n = ∞: the source space contains a sup-norm copy", prof_p.to_json())
+        ev = ProfileEvidence("limsup p_n = ∞: the source space contains a sup-norm copy", prof_p)
         return Verdict(Answer.NO, ev, SS_UNBOUNDED_SOURCE)
     if prof_p.bounded_above is Answer.UNKNOWN:
-        return Verdict(Answer.UNKNOWN, ProfileEvidence("boundedness of p_n undecided", prof_p.to_json()), "")
+        return Verdict(Answer.UNKNOWN, ProfileEvidence("boundedness of p_n undecided", prof_p), "")
 
     gap = a.liminf_abs_gap
     if gap.kind is GapKind.POSITIVE:
         citation = SS_UNBOUNDED_TARGET if a.q.profile.bounded_above is Answer.NO else SS_BOUNDED
-        ev = GapEvidence(
-            f"limsup p_n < ∞ and |p_n − q_n| >= {gap.epsilon:g} for n >= {at(gap.onset)}", gap.to_json()
-        )
+        ev = GapEvidence(f"limsup p_n < ∞ and |p_n − q_n| >= {gap.epsilon:g} for n >= {at(gap.onset)}", gap)
         return Verdict(Answer.YES, ev, citation)
     if gap.kind is GapKind.ZERO:
-        ev = GapEvidence("liminf |p_n − q_n| = 0: exponents coincide along a subsequence", gap.to_json())
+        ev = GapEvidence("liminf |p_n − q_n| = 0: exponents coincide along a subsequence", gap)
         return Verdict(Answer.NO, ev, SS_BOUNDED)
-    return Verdict(Answer.UNKNOWN, GapEvidence("liminf |p_n − q_n| undecided", gap.to_json()), "")
+    return Verdict(Answer.UNKNOWN, GapEvidence("liminf |p_n − q_n| undecided", gap), "")
 
 
 def weakly_compact(p: E.ExponentSequence, q: E.ExponentSequence) -> Verdict:
@@ -205,12 +207,9 @@ def _weakly_compact(a: PairAnalysis, inclusion: Verdict) -> Verdict:
     if inclusion.answer is not Answer.YES:
         return _na()
     prof_q = a.q.profile
-    ev = ProfileEvidence(f"liminf q_n in {prof_q.liminf}, limsup q_n in {prof_q.limsup}", prof_q.to_json())
-    if prof_q.liminf.lo > 1.0 and prof_q.limsup.hi < INF:
-        return Verdict(Answer.YES, ev, WEAK_COMPACTNESS)
-    if prof_q.liminf.hi <= 1.0 or prof_q.limsup.lo == INF:
-        return Verdict(Answer.NO, ev, WEAK_COMPACTNESS)
-    return Verdict(Answer.UNKNOWN, ev, "")
+    ev = ProfileEvidence(f"liminf q_n in {prof_q.liminf}, limsup q_n in {prof_q.limsup}", prof_q)
+    answer = _reflexivity(prof_q)[0]
+    return Verdict(answer, ev, "" if answer is Answer.UNKNOWN else WEAK_COMPACTNESS)
 
 
 def compactness_suite(p: E.ExponentSequence, q: E.ExponentSequence) -> tuple[Verdict, Verdict, Verdict]:
@@ -251,7 +250,7 @@ def _check_invariants(report: InclusionReport, a: PairAnalysis) -> None:
     if eq is Answer.YES and ss is Answer.YES:
         raise InternalInconsistency("spaces_equal = Yes together with strictly_singular = Yes")
     if report.weakly_compact.answer is Answer.YES:
-        if _space_verdicts(a.q.profile, None)[1].answer is not Answer.YES:
+        if _reflexivity(a.q.profile)[0] is not Answer.YES:
             raise InternalInconsistency("weakly_compact = Yes but the target space is not reflexive")
     # a bounded source with a certified gap and p_n > q_n on an infinite
     # family cannot coexist with a holding inclusion

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import SemanticError
 from .indexsets import IndexSet, Periodic, index_set_from_json
+from .verdicts import Record
 
 INF = math.inf
 EVAL_BLOCK = 2**14  # indices per _eval_array call in eval_range: a block's temporaries stay in cache
@@ -74,13 +75,13 @@ def block_end(k: int) -> int:
 _KINDS: dict[str, type] = {}  # JSON kind -> descriptor class
 
 
-class ExponentSequence:
-    """Immutable descriptor of a sequence n ↦ value in (0, ∞].  Each class names its
-    JSON kind, as ``Const(ExponentSequence, kind="const")``, registered in ``_KINDS``."""
+class ExponentSequence(Record):
+    """Immutable descriptor of a sequence n ↦ value in (0, ∞], written to JSON as a
+    ``Record``.  Each class names its JSON kind, as ``Const(ExponentSequence,
+    kind="const")``, registered in ``_KINDS``."""
 
     def __init_subclass__(cls, kind: str = "", **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.json_kind = kind
+        super().__init_subclass__(kind=kind, **kwargs)
         if kind:
             _KINDS[kind] = cls
 
@@ -99,31 +100,14 @@ class ExponentSequence:
             out[lo - start : hi - start] = self._eval_array(np.arange(lo, hi, dtype=np.float64))
         return out
 
-    def to_json(self) -> dict:
-        """``{"kind": ..., field: value, ...}`` in field order; ∞ is written "inf"."""
-        names = self.__dataclass_fields__
-        return {"kind": self.json_kind, **{name: _field_json(getattr(self, name)) for name in names}}
-
     def __str__(self):
         from .dsl import print_expression
 
         return print_expression(self)
 
 
-def _num(x: float) -> float | str:
-    return "inf" if x == INF else x
-
-
 def _denum(x) -> float:
     return INF if x == "inf" else float(x)
-
-
-def _field_json(v):
-    if isinstance(v, (ExponentSequence, IndexSet)):
-        return v.to_json()
-    if isinstance(v, tuple):  # Prefix overrides
-        return [_field_json(x) for x in v]
-    return _num(v)
 
 
 def _field_from_json(f: Field, v):

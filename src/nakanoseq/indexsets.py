@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
+from .verdicts import encode
+
 
 @dataclass(frozen=True)
 class Periodic:
@@ -105,7 +107,7 @@ class IndexSet:
         for f in fields(self):
             v = getattr(self, f.name)
             if v != f.default:
-                out[f.name] = v.to_json() if isinstance(v, IndexSet) else list(v) if isinstance(v, tuple) else v
+                out[f.name] = encode(v)
         return out
 
 

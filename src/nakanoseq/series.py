@@ -371,13 +371,14 @@ def _direct_partial_sums(alphas, exponent: E.ExponentSequence, horizon: int) -> 
     """
     totals = [0.0] * len(alphas)
     n = 1
-    while n <= horizon:
-        stop = min(horizon + 1, n + _CHUNK)
-        vals = exponent.eval_range(n, stop)
-        vals = vals[np.isfinite(vals)]
-        for i, alpha in enumerate(alphas):
-            totals[i] += float(np.sum(_powers(alpha, vals)))
-        n = stop
+    with np.errstate(over="ignore"):  # an overflowing exponent is ∞, whose term α^∞ = 0 is left out
+        while n <= horizon:
+            stop = min(horizon + 1, n + _CHUNK)
+            vals = exponent.eval_range(n, stop)
+            vals = vals[np.isfinite(vals)]
+            for i, alpha in enumerate(alphas):
+                totals[i] += float(np.sum(_powers(alpha, vals)))
+            n = stop
     return totals
 
 
@@ -453,12 +454,13 @@ def divergence_horizon(alpha: float, exponent: E.ExponentSequence, threshold: fl
         raise SemanticError("no divergence horizon found within 10^6 blocks")
     total = 0.0
     n = 1
-    while n <= _DIRECT_CAP:
-        stop = n + _CHUNK
-        sums = np.cumsum(_powers(alpha, exponent.eval_range(n, stop)))  # α^∞ = 0
-        hit = np.nonzero(total + sums >= threshold)[0]
-        if hit.size:
-            return n + int(hit[0])
-        total += float(sums[-1]) if sums.size else 0.0
-        n = stop
+    with np.errstate(over="ignore"):  # an overflowing exponent is ∞, and α^∞ = 0
+        while n <= _DIRECT_CAP:
+            stop = n + _CHUNK
+            sums = np.cumsum(_powers(alpha, exponent.eval_range(n, stop)))
+            hit = np.nonzero(total + sums >= threshold)[0]
+            if hit.size:
+                return n + int(hit[0])
+            total += float(sums[-1]) if sums.size else 0.0
+            n = stop
     raise SemanticError(f"partial sums did not reach {threshold} within {_DIRECT_CAP} terms")

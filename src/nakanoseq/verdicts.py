@@ -1,5 +1,5 @@
 """Three-valued answers and cited verdicts, and ``Record``, the JSON writer
-of every certificate, report and result record.
+of every descriptor, witness, certificate, report and result record.
 
 Every Yes/No verdict carries a citation string from the fixed anchor set
 below; the strings are part of the stable JSON output contract.
@@ -7,8 +7,8 @@ below; the strings are part of the stable JSON output contract.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Optional
 
 
@@ -50,43 +50,30 @@ SEPARABILITY_REMARK = "§1-remark"
 NOT_APPLICABLE = "inclusion not established"
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None), list})  # written as they are: a list already holds JSON
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-class _Encoders(dict):
-    """Type → the function that writes its values as JSON, chosen on first
-    sight: records (anything with ``to_json``) by their own method, enums by
-    value, tuples as lists, dicts value by value, and other values as they are."""
-
-    def __missing__(self, t):
-        if t is tuple:
-            enc = _json_list
-        elif t is dict:
-            enc = _json_dict
-        elif issubclass(t, enum.Enum):
-            enc = attrgetter("_value_")
-        else:
-            enc = getattr(t, "to_json", None) or (lambda v: v)
-        self[t] = enc
-        return enc
-
-
-_ENCODERS = _Encoders()
-
-
-def _json_list(v) -> list:
-    if _PLAIN.issuperset(map(type, v)):
-        return list(v)
-    return [x if type(x) in _PLAIN else _ENCODERS[type(x)](x) for x in v]
-
-
-def _json_dict(v) -> dict:
-    return {k: x if type(x) in _PLAIN else _ENCODERS[type(x)](x) for k, x in v.items()}
+def encode(v):
+    """A value as JSON: records (anything with ``to_json``) by their own method, enums by
+    value, tuples as lists, dicts value by value, a float ∞ as ``"inf"``, and anything else,
+    a list included, as it is."""
+    t = type(v)
+    if t in _SCALARS:
+        return "inf" if v == math.inf else v
+    if t is tuple:
+        return [encode(x) for x in v]
+    if t is dict:
+        return {k: encode(x) for k, x in v.items()}
+    if isinstance(v, enum.Enum):
+        return v._value_
+    to_json = getattr(v, "to_json", None)
+    return to_json() if to_json else v
 
 
 class Record:
     """Base of the dataclass records printed as JSON: ``to_json`` writes the fields in
-    order, after ``"kind"`` when the class names one, as ``Remark(Record, kind="remark")``.
+    order through ``encode``, after ``"kind"`` when the class names one, as
+    ``Remark(Record, kind="remark")``.
     ``str()`` is the record's ``statement`` when it has a non-empty one, else its repr."""
 
     def __init_subclass__(cls, kind=None, **kwargs):
@@ -98,8 +85,7 @@ class Record:
         out = {"kind": kind} if kind else {}
         values = self.__dict__
         for name in self.__dataclass_fields__:
-            v = values[name]
-            out[name] = v if type(v) in _PLAIN else _ENCODERS[type(v)](v)
+            out[name] = encode(values[name])
         return out
 
     def __str__(self):

@@ -18,7 +18,7 @@ from ._asymptotics import Analysis, GapKind, PairAnalysis
 from .errors import HorizonExhausted, NormComputationError, PreconditionError
 from .indexsets import IndexSet
 from .vectors import SparseVector, luxemburg_norm
-from .verdicts import Answer
+from .verdicts import Answer, Record
 
 INF = math.inf
 
@@ -29,21 +29,13 @@ _REL_SLACK = 1e-12  # slack for float roundoff in the gap/growth comparisons
 
 
 @dataclass(frozen=True)
-class WitnessSubsequence:
+class WitnessSubsequence(Record):
     """A materialized strictly increasing index prefix with numeric checks."""
 
     kind: str  # "equality" or "linf"
     indices: tuple[int, ...]
     gaps: tuple[float, ...]  # |p - q| at the indices (equality) or p values (linf)
     checks: dict
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "gaps": [E._num(g) for g in self.gaps],
-            "checks": {k: (E._num(v) if isinstance(v, float) else v) for k, v in self.checks.items()},
-        }
 
     def to_text(self) -> str:
         label = "gap" if self.kind == "equality" else "value"

@@ -109,6 +109,12 @@ def test_space_reads_exact_limits(capsys, expr, lines):
     assert "[1, 1]" not in out
 
 
+def test_space_reflexive_no_from_a_liminf_of_one(capsys):
+    code, out, err = run(capsys, "space", "merge(even: 1, 1 + absdiff(n, blocks))")
+    assert (code, err) == (0, "")
+    assert "reflexive: No — §1-remark — liminf p_n in [1, 1], limsup p_n in [1, inf]" in out.splitlines()
+
+
 def test_compare_prints_a_positive_geometric_base(capsys):
     code, out, _ = run(capsys, "compare", "1 + 1e-300/n", "1")
     assert code == 0
@@ -221,6 +227,21 @@ def test_exit_2_on_a_limit_beyond_the_float_range(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: an exact value lies beyond the float range\n"
+
+
+def test_exit_2_writes_no_numpy_warning_from_the_sample():
+    """The non-certifying sample of a mixed branch overflows to ∞ without a RuntimeWarning,
+    so the error line is all that reaches stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nakanoseq.cli", "space", "absdiff(1e308, recip(n + blocks)) + 1e308"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: an exact value lies beyond the float range\n"
 
 
 def test_exit_2_on_bad_vector(capsys):

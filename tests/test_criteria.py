@@ -3,6 +3,7 @@ import cProfile
 import math
 import pstats
 import random
+import warnings
 
 import pytest
 
@@ -80,6 +81,28 @@ def test_space_profile_invariants_hold():
             assert sp.separable.answer is Answer.NO
         if sp.reflexive.answer is Answer.YES:
             assert sp.separable.answer is Answer.YES
+
+
+def test_space_profile_unknown_boundedness():
+    sp = space_profile(parse_expression("absdiff(n, blocks)"))
+    assert (str(sp.profile.liminf), sp.profile.bounded_above) == ("[0, inf]", Answer.UNKNOWN)
+    assert [v.answer for v in (sp.separable, sp.reflexive, sp.contains_linf_copy)] == [Answer.UNKNOWN] * 3
+
+
+def test_space_profile_reflexive_no_from_the_liminf_alone():
+    # liminf p_n = 1 rules reflexivity out whether or not p_n is bounded
+    sp = space_profile(parse_expression("merge(even: 1, 1 + absdiff(n, blocks))"))
+    assert (str(sp.profile.liminf), sp.profile.bounded_above) == ("[1, 1]", Answer.UNKNOWN)
+    assert (sp.reflexive.answer, sp.reflexive.citation) == (Answer.NO, "§1-remark")
+    assert sp.separable.answer is Answer.UNKNOWN and sp.contains_linf_copy.answer is Answer.UNKNOWN
+
+
+def test_space_profile_unknown_reflexivity_of_a_bounded_exponent():
+    sp = space_profile(parse_expression("merge(even: 2, 1 + recip(1 + absdiff(n, blocks)))"))
+    assert (str(sp.profile.liminf), str(sp.profile.limsup)) == ("[1, 2]", "[2, 2]")
+    answers = [v.answer for v in (sp.separable, sp.reflexive, sp.contains_linf_copy)]
+    assert answers == [Answer.YES, Answer.UNKNOWN, Answer.NO]
+    assert sp.reflexive.citation == "" and sp.linf_witness is None
 
 
 # -- spaces_equal -----------------------------------------------------------------
@@ -271,6 +294,14 @@ def test_full_report_invariants_on_random_pairs():
                 assert v.citation in CITATION_ANCHORS, (str(p), str(q), v)
         if r.weakly_compact.answer is Answer.YES:
             assert space_profile(q, witness_count=0).reflexive.answer is Answer.YES
+
+
+def test_full_report_probes_overflow_without_a_warning():
+    # 1e308·n overflows to ∞ from n = 2 in the Unknown verdicts' partial sums, where α^∞ = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = full_report(parse_expression("prefix(1=1; 1e308*n)"), BlockRepeat())
+    assert report.inclusion_holds.answer is Answer.UNKNOWN
 
 
 def test_full_report_after_block_cache_growth():

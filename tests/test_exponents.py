@@ -237,6 +237,11 @@ def test_profile_onset_is_the_least_index(expr, onset):
     assert profile(parse_expression(expr)).onset == onset
 
 
+def test_profile_onset_past_the_exceptions_of_the_index_set():
+    # on_set holds off {3, 7}; the exceptions move the onset past 7
+    assert profile(Merge(Complement(Thinned(indices=(3, 7))), Const(2), Linear(1, 0))).onset == 8
+
+
 def test_profile_mixed_branch_is_inexact_interval():
     mixed = AbsDiff(Linear(1.0, 0.0), BlockRepeat())  # n - a_n mixes variables
     prof = profile(mixed)
@@ -285,6 +290,10 @@ def test_signed_gap():
     assert g.kind is GapKind.POSITIVE and g.epsilon == pytest.approx(1.0)
     assert signed_liminf_gap(Const(2), Const(3)).kind is GapKind.ZERO
     assert signed_liminf_gap(Linear(1, 1), Linear(1, 0)).kind is GapKind.POSITIVE
+
+
+def test_signed_gap_unknown_where_a_row_mixes_n_and_blocks():
+    assert signed_liminf_gap(Linear(1, 0), BlockRepeat()).kind is GapKind.UNKNOWN
 
 
 def test_gap_of_blocks_pair():

@@ -2,6 +2,7 @@
 import math
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,18 @@ def test_divergence_horizon_direct_path_pinned():
     # skipped past the underflow cutoff
     e = Merge(Odds(), Const(INF), RationalDrift(1.0, 1.0, 1.0))
     assert [divergence_horizon(a, e) for a in (0.5, 0.1)] == [4006, 20022]
+
+
+def test_divergence_horizon_direct_scan_past_its_first_chunk():
+    # Σ 0.001^(1 + 1/n) first reaches 10^3 in the third chunk of the direct scan
+    assert divergence_horizon(0.001, RationalDrift(1.0, 1.0, 1.0)) == 1000085
+
+
+def test_divergence_horizon_scan_overflows_without_a_warning():
+    # 1e308·n is ∞ from n = 2, and α^∞ = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert divergence_horizon(0.5, Prefix(((1, 1.0),), Linear(1e308, 0.0)), 0.5) == 1
 
 
 def test_partial_sum_validation():

@@ -6,7 +6,8 @@ Imports the package from ``<src-dir>`` (e.g. ``src``, or the ``src`` of a
 second checkout) and prints one ``<corpus> <sha256>`` line per corpus.
 Two checkouts whose lines agree print the same bytes on every corpus; with
 ``--dump`` each corpus is also written to ``DIR/<corpus>.txt``, so a
-mismatch can be located with ``cmp``.
+mismatch can be located with ``cmp``.  JSON is written strictly: a record
+that would write a non-standard ``Infinity`` or ``NaN`` fails the run.
 
 Corpora:
 
@@ -80,18 +81,23 @@ PAIR_FUNCTIONS = (
 )
 
 
+def _dumps(obj) -> str:
+    """``obj`` as JSON, raising ValueError where it holds a float ∞ or nan."""
+    return json.dumps(obj, allow_nan=False)
+
+
 def _reports(N, gens):
     rng = random.Random(88)
     pairs = [gens.gen_pair(rng) for _ in range(1000)]
     reports = [N.full_report(p, q, witness_count=0) for p, q in pairs]
-    return [json.dumps(r.to_json()) for r in reports], pairs, reports
+    return [_dumps(r.to_json()) for r in reports], pairs, reports
 
 
 def _descriptors(N, gens, pairs):
     rng = random.Random(3)
     trees = [gens.gen_dsl_ast(rng, depth=3) for _ in range(300)]
     seqs = [s for pair in pairs for s in pair] + trees
-    return [f"{json.dumps(s.to_json())}\t{N.print_expression(s)}" for s in seqs]
+    return [f"{_dumps(s.to_json())}\t{N.print_expression(s)}" for s in seqs]
 
 
 def _witness(N, gen):
@@ -102,15 +108,15 @@ def _witness(N, gen):
             w = N.equality_witness(p, N.parse_expression(op["q"]), op["count"])
         else:
             w = N.linf_witness(p, op["count"])
-        lines.append(json.dumps(w.to_json()))
+        lines.append(_dumps(w.to_json()))
     return lines
 
 
 def _norm(N, gen):
     ops, vectors = gen.norm_pool(2, 2)
     vecs = {key: N.SparseVector.from_pairs(v) for key, v in vectors.items()}
-    lines = [json.dumps(N.luxemburg_norm(N.parse_expression(op["p"]), vecs[op["vector"]]).to_json()) for op in ops]
-    return lines + [json.dumps(vecs[key].to_json()) for key in sorted(vecs)]
+    lines = [_dumps(N.luxemburg_norm(N.parse_expression(op["p"]), vecs[op["vector"]]).to_json()) for op in ops]
+    return lines + [_dumps(vecs[key].to_json()) for key in sorted(vecs)]
 
 
 def _text(reports, profiles):
@@ -126,8 +132,8 @@ def _verdicts(N, pairs):
         for name in PAIR_FUNCTIONS:
             result = getattr(N, name)(p, q)
             js = [v.to_json() for v in result] if isinstance(result, tuple) else result.to_json()
-            lines.append(f"{name}\t{json.dumps(js)}")
-        lines += [f"profile\t{json.dumps(N.profile(s).to_json())}" for s in (p, q)]
+            lines.append(f"{name}\t{_dumps(js)}")
+        lines += [f"profile\t{_dumps(N.profile(s).to_json())}" for s in (p, q)]
     return lines
 
 
@@ -136,7 +142,7 @@ def _decimals(N, gens):
     pairs = [tuple(map(N.parse_expression, pq)) for pq in sums]
     rng = random.Random(88)
     pairs += [gens.gen_decimal_pair(rng) for _ in range(200)]
-    return [json.dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
+    return [_dumps(N.full_report(p, q, witness_count=0).to_json()) for p, q in pairs]
 
 
 def _mixed_nests(N):
@@ -153,8 +159,8 @@ def _mixed_nests(N):
 def _mixed(N):
     seqs = [N.parse_expression(t) for t in MIXED] + _mixed_nests(N)
     return [
-        f"{N.print_expression(s)}\t{json.dumps(N.profile(s).to_json())}\t"
-        f"{json.dumps(N.space_profile(s, witness_count=0).to_json())}"
+        f"{N.print_expression(s)}\t{_dumps(N.profile(s).to_json())}\t"
+        f"{_dumps(N.space_profile(s, witness_count=0).to_json())}"
         for s in seqs
     ]
 
@@ -204,11 +210,11 @@ def main() -> int:
     profiles = [N.space_profile(p) for p, _ in pairs[:200]]
     corpora = {
         "reports": reports,
-        "compare": [json.dumps(N.full_report(p, q).to_json()) for p, q in pairs],
+        "compare": [_dumps(N.full_report(p, q).to_json()) for p, q in pairs],
         "descriptors": _descriptors(N, gens, pairs),
         "witness": _witness(N, gen),
         "norm": _norm(N, gen),
-        "space": [json.dumps(s.to_json()) for s in profiles],
+        "space": [_dumps(s.to_json()) for s in profiles],
         "cli": _cli(src, gen),
         "text": _text(report_objs, profiles),
         "verdicts": _verdicts(N, pairs),
