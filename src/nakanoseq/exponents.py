@@ -78,7 +78,11 @@ _KINDS: dict[str, type] = {}  # JSON kind -> descriptor class
 class ExponentSequence(Record):
     """Immutable descriptor of a sequence n ↦ value in (0, ∞], written to JSON as a
     ``Record``.  Each class names its JSON kind, as ``Const(ExponentSequence,
-    kind="const")``, registered in ``_KINDS``."""
+    kind="const")``, registered in ``_KINDS``.
+
+    The library reads values through :meth:`eval_range` (``_eval_array``).
+    Scalar ``eval`` is the reference evaluator that the tests and the benchmark
+    check the array path against, and the exact path for indices from 2**53 on."""
 
     def __init_subclass__(cls, kind: str = "", **kwargs):
         super().__init_subclass__(kind=kind, **kwargs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 from .verdicts import encode
 
@@ -54,13 +53,8 @@ class Periodic:
         residues = (r for r in range(m) if r % self.modulus in self.residues and r % other.modulus in other.residues)
         return Periodic(m, frozenset(residues))
 
-    def members(self, start: int = 1) -> Iterator[int]:
-        for n in itertools.count(start):
-            if self.contains(n):
-                yield n
-
     def first(self, count: int) -> list[int]:
-        return list(itertools.islice(self.members(), count))
+        return list(itertools.islice(filter(self.contains, itertools.count(1)), count))
 
     def count_in_range(self, lo: int, hi: int) -> int:
         """Number of members n with lo <= n <= hi (exact, O(modulus))."""
@@ -75,6 +69,11 @@ class Periodic:
         total += sum(1 for n in self.plus if lo <= n <= hi)
         total -= sum(1 for n in self.minus if lo <= n <= hi)
         return total
+
+    def to_json(self) -> dict:
+        """The modulus and the sorted residues, then ``plus`` and ``minus``, sorted, where non-empty."""
+        extra = {name: sorted(v) for name, v in (("plus", self.plus), ("minus", self.minus)) if v}
+        return {"modulus": self.modulus, "residues": sorted(self.residues), **extra}
 
 
 _KINDS: dict[str, type] = {}  # JSON kind -> index set class
@@ -91,12 +90,6 @@ class IndexSet:
 
     def periodic(self) -> Periodic:
         raise NotImplementedError
-
-    def contains(self, n: int) -> bool:
-        return self.periodic().contains(n)
-
-    def is_infinite(self) -> bool:
-        return self.periodic().is_infinite()
 
     def first(self, count: int) -> list[int]:
         return self.periodic().first(count)

@@ -105,7 +105,7 @@ class NumericProbe(Record, kind="numeric_probe"):
 class BranchCertificates(Record, kind="branch_certificates"):
     """One certificate per infinite index-set branch of the series."""
 
-    parts: tuple[tuple[dict, object], ...]  # (periodic set as json, certificate)
+    parts: tuple[tuple[Periodic, object], ...]  # (periodic set, certificate)
 
     def __str__(self):
         return "; ".join(str(cert) for _, cert in self.parts)
@@ -122,10 +122,6 @@ class AlphaCertificate(Record, kind="alpha_certificate"):
     def __str__(self):
         base = f"α = {self.alpha:g}"
         return f"{base}; {self.inner}" if self.inner is not None else base
-
-
-def _pset_json(pset: Periodic) -> dict:
-    return {"modulus": pset.modulus, "residues": sorted(pset.residues)}
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def _combine(branches: list[Branch], alpha: Optional[float], probe) -> Verdict:
     if parts and all(ans is Answer.YES for _, ans, _ in parts):
         if len(parts) == 1:
             return Verdict(Answer.YES, parts[0][2])
-        return Verdict(Answer.YES, BranchCertificates(tuple((_pset_json(p), c) for p, _, c in parts)))
+        return Verdict(Answer.YES, BranchCertificates(tuple((p, c) for p, _, c in parts)))
     return Verdict(Answer.UNKNOWN, probe())
 
 

@@ -47,31 +47,35 @@ class WitnessSubsequence(Record):
         return "\n".join(lines)
 
 
-def _scan(eval_range, hit, count: int, horizon: int, what: str) -> list[int]:
+def _scan(eval_range, hit, count: int, horizon: int, what: str) -> tuple[list[int], list[float]]:
     """First ``count`` indices n_1 < n_2 < ... <= horizon with ``hit(values, k)``
-    true at n_k, in one forward pass: each chunk of ``eval_range`` values is
-    computed once and serves every k until it runs out.  Chunks double from
-    ``_FIRST_CHUNK`` up to ``_CHUNK``, so the cost follows the last index reached."""
+    true at n_k, and the values tested there, in one forward pass: each chunk of
+    ``eval_range`` values is computed once and serves every k until it runs out.
+    Chunks double from ``_FIRST_CHUNK`` up to ``_CHUNK``, so the cost follows the
+    last index reached.  A value past the float range reads as ∞, without a warning."""
     indices: list[int] = []
+    found: list[float] = []
     n = base = stop = 1  # next index to test; the chunk in hand covers [base, stop)
     size = _FIRST_CHUNK
-    for k in range(1, count + 1):
-        while True:
-            if n == stop:
-                if n > horizon:
-                    raise HorizonExhausted(
-                        f"no index with {what.format(k=k)} found for k={k} within {horizon} terms", k, horizon
-                    )
-                base, stop = n, min(horizon + 1, n + size)
-                values = eval_range(base, stop)
-                size = min(2 * size, _CHUNK)
-            hits = np.flatnonzero(hit(values[n - base :], k))
-            if hits.size:
-                break
-            n = stop
-        indices.append(n + int(hits[0]))
-        n = indices[-1] + 1
-    return indices
+    with np.errstate(over="ignore"):
+        for k in range(1, count + 1):
+            while True:
+                if n == stop:
+                    if n > horizon:
+                        raise HorizonExhausted(
+                            f"no index with {what.format(k=k)} found for k={k} within {horizon} terms", k, horizon
+                        )
+                    base, stop = n, min(horizon + 1, n + size)
+                    values = eval_range(base, stop)
+                    size = min(2 * size, _CHUNK)
+                hits = np.flatnonzero(hit(values[n - base :], k))
+                if hits.size:
+                    break
+                n = stop
+            indices.append(n + int(hits[0]))
+            found.append(float(values[indices[-1] - base]))
+            n = indices[-1] + 1
+    return indices, found
 
 
 def _half_checks(exponents) -> dict:
@@ -107,13 +111,12 @@ def _equality_witness(a: PairAnalysis, count: int, horizon: int = SCAN_HORIZON) 
 
     p, q = a.p.seq, a.q.seq
     diff = E.AbsDiff(p, q)
-    nak = E.NakanoExponent(p, q)
-    indices = _scan(
+    indices, gaps = _scan(
         diff.eval_range, lambda d, k: d <= (1.0 / k) * (1.0 + _REL_SLACK), count, horizon, "|p_n - q_n| <= 1/{k}"
     )
-    gaps = [diff.eval(n) for n in indices]
-    checks = _half_checks(nak.eval(n) for n in indices)
-    return WitnessSubsequence("equality", tuple(indices), tuple(gaps), checks)
+    with np.errstate(over="ignore"):
+        nak = E.NakanoExponent(p, q)._eval_array(np.array(indices, dtype=np.float64)).tolist()
+    return WitnessSubsequence("equality", tuple(indices), tuple(gaps), _half_checks(nak))
 
 
 def linf_witness(p: E.ExponentSequence, count: int, horizon: int = SCAN_HORIZON) -> WitnessSubsequence:
@@ -135,8 +138,7 @@ def _linf_witness(a: Analysis, count: int, horizon: int = SCAN_HORIZON) -> Witne
         )
 
     p = a.seq
-    indices = _scan(p.eval_range, lambda v, k: ~(v < k * (1.0 - _REL_SLACK)), count, horizon, "p_n >= {k}")
-    values = [p.eval(n) for n in indices]
+    indices, values = _scan(p.eval_range, lambda v, k: ~(v < k * (1.0 - _REL_SLACK)), count, horizon, "p_n >= {k}")
     return WitnessSubsequence("linf", tuple(indices), tuple(values), _half_checks(values))
 
 

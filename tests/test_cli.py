@@ -244,6 +244,22 @@ def test_exit_2_writes_no_numpy_warning_from_the_sample():
     assert proc.stderr == "error: an exact value lies beyond the float range\n"
 
 
+@pytest.mark.parametrize("expr", ["1e308*n", "1.5e308*n + 1.5e308"])
+def test_space_witness_scan_past_the_float_range_writes_no_warning(expr):
+    """The sup-norm witness scan reads values past the float range as ∞ without a
+    RuntimeWarning, so stderr stays empty."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nakanoseq.cli", "space", expr],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "linf witness (5 indices)" in proc.stdout
+
+
 def test_exit_2_on_bad_vector(capsys):
     code, _, err = run(capsys, "norm", "2", "not json")
     assert code == 2

@@ -66,6 +66,20 @@ def test_space_profile_keeps_why_the_witness_is_missing():
     assert sp.to_json() == space_profile(BlockRepeat(), witness_count=0).to_json()
 
 
+@pytest.mark.parametrize(
+    "p, q, found, note",
+    [
+        ("2", "2 + recip(blocks)", [], "equality witness scan exhausted: no index with |p_n - q_n| <= 1/9"),
+        ("blocks", "blocks", ["equality"], "sup-norm witness scan exhausted: no index with p_n >= 9"),
+    ],
+)
+def test_full_report_notes_an_exhausted_witness_scan(p, q, found, note):
+    # block 9 starts at 17650829, past the 10^7 scan horizon
+    r = full_report(parse_expression(p), parse_expression(q), witness_count=9)
+    assert list(r.witnesses) == found
+    assert r.notes == (f"{note} found for k=9 within 10000000 terms",)
+
+
 def test_space_profile_l2():
     sp = space_profile(Const(2))
     assert sp.separable.answer is Answer.YES

@@ -37,7 +37,7 @@ from nakanoseq import (
 )
 from nakanoseq._asymptotics import GapKind, GapResult
 from nakanoseq.exponents import from_json
-from nakanoseq.indexsets import All, index_set_from_json
+from nakanoseq.indexsets import All, Periodic, index_set_from_json
 from nakanoseq.vectors import NormResult
 
 INF = math.inf
@@ -106,6 +106,12 @@ def test_index_set_json_is_pinned(name):
 def test_index_set_json_collapses_a_double_complement():
     obj = {"kind": "complement", "inner": {"kind": "complement", "inner": {"kind": "odds"}}}
     assert index_set_from_json(obj) == Odds()
+
+
+def test_periodic_json_writes_exceptions_only_when_present():
+    assert Evens().periodic().to_json() == {"modulus": 2, "residues": [0]}
+    per = Periodic(3, frozenset({2, 0}), plus=frozenset({7, 4}), minus=frozenset({3}))
+    assert per.to_json() == {"modulus": 3, "residues": [0, 2], "plus": [4, 7], "minus": [3]}
 
 
 def test_malformed_index_set_json_raises_value_error():

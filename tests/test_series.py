@@ -368,6 +368,24 @@ def test_partial_sum_validation():
         partial_sum(1.5, Const(2), 100)
 
 
+def test_decide_convergence_unknown_attaches_its_probe():
+    v = decide_convergence(0.5, AbsDiff(Linear(1.0, 0.0), BlockRepeat()))  # mixes n and a_n
+    assert v.answer is Answer.UNKNOWN
+    assert isinstance(v.certificate, NumericProbe)
+    assert v.certificate.horizon == PROBE_HORIZON
+    ((alpha, total),) = v.certificate.partial_sums
+    assert alpha == 0.5
+    assert total == partial_sum(0.5, AbsDiff(Linear(1.0, 0.0), BlockRepeat()), PROBE_HORIZON)
+    assert 3.125 <= total < 3.125 + 1e-8
+
+
+def test_partial_sum_direct_past_two_million_without_a_block_form():
+    e = Sum(Const(2), Recip(Linear(1.0, 0.0)))  # 2 + 1/n
+    assert partial_sum(0.5, e, 3_000_000) == 749997.3999574373
+    with pytest.raises(SemanticError, match="too large for term-by-term summation"):
+        partial_sum(0.5, e, 60_000_000)
+
+
 def test_exists_alpha_prefix_invariance():
     # finitely many overrides never change the verdict
     e = Linear(1.0, 0.0)

@@ -1,11 +1,14 @@
 """Witness subsequences and empirical norm-ratio probes."""
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from _generators import gen_pair
 from nakanoseq import (
+    AbsDiff,
     All,
     Answer,
     BlockRepeat,
@@ -14,6 +17,7 @@ from nakanoseq import (
     GapKind,
     HorizonExhausted,
     Linear,
+    NakanoExponent,
     PreconditionError,
     RationalDrift,
     Recip,
@@ -171,6 +175,68 @@ def test_equality_witness_across_chunks_matches_scalar_reference(p, q, count, la
 def test_linf_witness_across_chunks_matches_scalar_reference():
     p = parse_expression("merge(odd: blocks, 2)")
     assert linf_witness(p, 7).indices == _reference_linf(p, 7)
+
+
+# -- printed values are the scanned values -----------------------------------------
+
+
+def _hex_at(seq, indices):
+    """``seq.eval_range`` at each index, as ``float.hex`` strings."""
+    with np.errstate(over="ignore"):
+        values = seq.eval_range(1, indices[-1] + 1)
+    return [float(values[n - 1]).hex() for n in indices]
+
+
+def _half_sum(exponents):
+    return sum(0.5**e for e in exponents if e != INF)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ("1.5 - 1/n^0.5", "1.5 + 2/n^2"),  # seed-88 pair 40: scalar eval rounds its k = 5 gap differently
+        ("merge(odd: 2.2*n + 3.3, 2.2 + 2.2/n^0.3)", "merge(odd: 2.2*n + 3.3, 2.2 + 2.2/n^0.3) + recip(2.2)"),
+        ("merge(even: 2.2, 1.1 - 1.1/n^2.2)", "1.1 + 2.2/n^1.1"),
+        ("2.2 + 2.2/n^0.3", "2.2 + 2.2/n^0.3 + recip(1.1*n)"),
+        ("blocks", "merge(odd: blocks, 3.3 - 2.2/n^0.3)"),
+        ("2", "2 + recip(blocks)"),
+        ("n", "n + recip(n)"),
+        ("1e308*n", "1e308*n"),
+    ],
+)
+def test_witnesses_print_the_values_their_scan_tested(p, q):
+    """Every printed gap or value, and the equality exponents behind the modular
+    check, read bit for bit as ``eval_range`` gives them at the witness indices."""
+    p, q = parse_expression(p), parse_expression(q)
+    checked = 0
+    if liminf_abs_gap(p, q).kind is GapKind.ZERO:
+        wit = equality_witness(p, q, 6)
+        assert [g.hex() for g in wit.gaps] == _hex_at(AbsDiff(p, q), wit.indices)
+        nak = [float.fromhex(h) for h in _hex_at(NakanoExponent(p, q), wit.indices)]
+        assert wit.checks["modular_at_half"] == _half_sum(nak)
+        checked += 1
+    if profile(p).bounded_above is Answer.NO:
+        wit = linf_witness(p, 6)
+        assert [v.hex() for v in wit.gaps] == _hex_at(p, wit.indices)
+        assert wit.checks["modular_at_half"] == _half_sum(wit.gaps)
+        checked += 1
+    assert checked
+
+
+def test_witness_values_are_python_floats():
+    wit = equality_witness(parse_expression("1.5 - 1/n^0.5"), parse_expression("1.5 + 2/n^2"), 5)
+    assert {type(g) for g in wit.gaps} == {float}
+    assert type(wit.checks["modular_at_half"]) is float
+    assert wit.gaps[4] == 0.19907471501984064
+
+
+def test_linf_witness_overflow_writes_no_warning():
+    # 1e308·n is past the float range from n = 2; the scan reads it as ∞
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wit = linf_witness(parse_expression("1e308*n"), 5)
+    assert wit.indices == (1, 2, 3, 4, 5)
+    assert wit.gaps == (1e308, INF, INF, INF, INF)
 
 
 # -- scan cost ---------------------------------------------------------------------
