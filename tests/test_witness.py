@@ -199,6 +199,7 @@ def _half_sum(exponents):
         ("merge(even: 2.2, 1.1 - 1.1/n^2.2)", "1.1 + 2.2/n^1.1"),
         ("2.2 + 2.2/n^0.3", "2.2 + 2.2/n^0.3 + recip(1.1*n)"),
         ("blocks", "merge(odd: blocks, 3.3 - 2.2/n^0.3)"),
+        ("merge(even: 2.2 + 2.2/n^0.3, 1.1*n + 3.3)", "merge(even: 2.2 + 2.2/n^0.3, 1.1*n + 3.3)"),
         ("2", "2 + recip(blocks)"),
         ("n", "n + recip(n)"),
         ("1e308*n", "1e308*n"),
